@@ -7,7 +7,6 @@ symplectomorphisms.  All arithmetic is exact; every check compares
 against zero, never against a tolerance.
 """
 
-from ._kernel import BACKEND
 from .errors import ArityError, InputError, ParseError, StarkitError
 from .moyal import StarProduct, verify_dq_axioms, verify_star_axioms
 from .parsing import (parse_expr, parse_poly, parse_scalar, parse_series,
@@ -20,6 +19,9 @@ from .scalars import ExactComplex
 from .series import HbarSeries
 
 __version__ = "0.1.0"
+
+# The term-map kernel is pure Python; kept as a name for run records.
+BACKEND = "python"
 
 __all__ = [
     "ArityError", "BACKEND", "CheckEntry", "ExactComplex", "HbarSeries",

@@ -1,39 +1,161 @@
-"""Kernel backend selection.
+"""Term-map kernels.
 
-Imports the compiled Cython kernels when available, otherwise the
-pure-Python fallback.  Set STARKIT_BACKEND=py (or =c) to force a choice;
-forcing ``c`` raises if the extension was not built.
+These pure-Python functions are the hot inner loops of the whole package.
+A term map represents a sparse multivariate polynomial:
+
+    map  =  dict[exponents, coeff]
+    exponents = tuple[int, ...]            one entry per variable
+    coeff = (rn, rd, jn, jd)               exact Gaussian rational rn/rd + (jn/jd)*i
+
+Coefficients are kept normalized at all times: denominators positive and
+coprime to their numerators, zero parts stored as (0, 1).  Zero coefficients
+are never stored in a map; the zero polynomial is the empty dict.
+
+Callers reach these functions as attributes of this module (``K.mmul``),
+so a tracer that rebinds an attribute sees every call from outside.
 """
 
-import os
+from math import gcd
 
-_choice = os.environ.get("STARKIT_BACKEND", "").lower()
+CZERO = (0, 1, 0, 1)
+CONE = (1, 1, 0, 1)
 
-if _choice in ("py", "python", "pure"):
-    from . import py_ops as _impl
-    BACKEND = "python"
-elif _choice in ("c", "cy", "cython", "compiled"):
-    from . import cy_ops as _impl  # type: ignore[no-redef]
-    BACKEND = "cython"
-else:
-    try:
-        from . import cy_ops as _impl  # type: ignore[no-redef]
-        BACKEND = "cython"
-    except ImportError:
-        from . import py_ops as _impl
-        BACKEND = "python"
 
-CZERO = _impl.CZERO
-CONE = _impl.CONE
-qnorm = _impl.qnorm
-cadd = _impl.cadd
-csub = _impl.csub
-cneg = _impl.cneg
-cmul = _impl.cmul
-madd = _impl.madd
-msub = _impl.msub
-mneg = _impl.mneg
-mscale = _impl.mscale
-mmul = _impl.mmul
-maddmul = _impl.maddmul
-mdiff = _impl.mdiff
+def qnorm(n, d):
+    """Normalize the rational n/d. d must be nonzero."""
+    if n == 0:
+        return 0, 1
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    if g > 1:
+        return n // g, d // g
+    return n, d
+
+
+def cadd(a, b):
+    rn, rd = qnorm(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+    jn, jd = qnorm(a[2] * b[3] + b[2] * a[3], a[3] * b[3])
+    return rn, rd, jn, jd
+
+
+def csub(a, b):
+    rn, rd = qnorm(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
+    jn, jd = qnorm(a[2] * b[3] - b[2] * a[3], a[3] * b[3])
+    return rn, rd, jn, jd
+
+
+def cneg(a):
+    return -a[0], a[1], -a[2], a[3]
+
+
+def cmul(a, b):
+    # (x + yi)(u + vi) = (xu - yv) + (xv + yu)i
+    xn, xd, yn, yd = a
+    un, ud, vn, vd = b
+    rn, rd = qnorm(xn * un * yd * vd - yn * vn * xd * ud, xd * ud * yd * vd)
+    jn, jd = qnorm(xn * vn * yd * ud + yn * un * xd * vd, xd * vd * yd * ud)
+    return rn, rd, jn, jd
+
+
+def madd(t1, t2):
+    if not t1:
+        return dict(t2)
+    if not t2:
+        return dict(t1)
+    out = dict(t1)
+    for e, c in t2.items():
+        old = out.get(e)
+        if old is None:
+            out[e] = c
+        else:
+            s = cadd(old, c)
+            if s[0] == 0 and s[2] == 0:
+                del out[e]
+            else:
+                out[e] = s
+    return out
+
+
+def msub(t1, t2):
+    out = dict(t1)
+    for e, c in t2.items():
+        old = out.get(e)
+        if old is None:
+            out[e] = (-c[0], c[1], -c[2], c[3])
+        else:
+            s = csub(old, c)
+            if s[0] == 0 and s[2] == 0:
+                del out[e]
+            else:
+                out[e] = s
+    return out
+
+
+def mneg(t):
+    return {e: (-c[0], c[1], -c[2], c[3]) for e, c in t.items()}
+
+
+def mscale(t, c):
+    if c[0] == 0 and c[2] == 0:
+        return {}
+    out = {}
+    for e, a in t.items():
+        p = cmul(a, c)
+        if p[0] != 0 or p[2] != 0:
+            out[e] = p
+    return out
+
+
+def mmul(t1, t2):
+    if not t1 or not t2:
+        return {}
+    if len(t1) > len(t2):
+        t1, t2 = t2, t1
+    out = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(int.__add__, e1, e2))
+            p = cmul(c1, c2)
+            old = out.get(e)
+            if old is not None:
+                p = cadd(old, p)
+            out[e] = p
+    return {e: c for e, c in out.items() if c[0] != 0 or c[2] != 0}
+
+
+def maddmul(acc, t1, t2, c):
+    """acc += c * t1 * t2, mutating acc in place. Returns acc."""
+    if not t1 or not t2 or (c[0] == 0 and c[2] == 0):
+        return acc
+    if len(t1) > len(t2):
+        t1, t2 = t2, t1
+    for e1, c1 in t1.items():
+        cc = cmul(c1, c)
+        for e2, c2 in t2.items():
+            e = tuple(map(int.__add__, e1, e2))
+            p = cmul(cc, c2)
+            old = acc.get(e)
+            if old is None:
+                acc[e] = p
+            else:
+                s = cadd(old, p)
+                if s[0] == 0 and s[2] == 0:
+                    del acc[e]
+                else:
+                    acc[e] = s
+    return acc
+
+
+def mdiff(t, var):
+    """Partial derivative with respect to variable index var (0-based)."""
+    out = {}
+    for e, c in t.items():
+        k = e[var]
+        if k == 0:
+            continue
+        e2 = e[:var] + (k - 1,) + e[var + 1:]
+        rn, rd = qnorm(c[0] * k, c[1])
+        jn, jd = qnorm(c[2] * k, c[3])
+        out[e2] = (rn, rd, jn, jd)
+    return out

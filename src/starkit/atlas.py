@@ -67,6 +67,8 @@ class PolygonGluing:
         self_edges = tuple(ExactComplex.coerce(e) for e in edges)
         pairs = []
         for pair in pairing:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise InputError("pairing entries must be [i, j] pairs")
             i, j = pair
             if not isinstance(i, int) or not isinstance(j, int):
                 raise InputError("pairing entries must be integer indices")
@@ -81,6 +83,9 @@ class PolygonGluing:
     def from_json(cls, data) -> "PolygonGluing":
         if not isinstance(data, dict) or "edges" not in data or "pairing" not in data:
             raise InputError("surface data needs \"edges\" and \"pairing\"")
+        for key in ("edges", "pairing"):
+            if not isinstance(data[key], list):
+                raise InputError(f"surface {key} must be a list")
         edges = []
         for k, entry in enumerate(data["edges"]):
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
@@ -157,10 +162,6 @@ class ChartMap:
     def pull_series(self, F: HbarSeries) -> HbarSeries:
         return F.map_coeffs(self.pull)
 
-    def push_series(self, F: HbarSeries) -> HbarSeries:
-        inv = self.inverse()
-        return F.map_coeffs(inv.pull)
-
     def symplectic_residual(self, form: SymplecticForm):
         """A^T Theta A - Theta; zero exactly when the map preserves the form."""
         at = linalg.transpose(self.matrix)
@@ -202,9 +203,9 @@ class Overlap:
 class TranslationSurface:
     """Ingested surface: combinatorics, stratum data, charts, overlaps."""
 
-    __slots__ = ("edges", "pairing", "involution", "vertices", "pairs",
-                 "translations", "vertex_classes", "windings", "zeros",
-                 "genus", "charts", "overlaps")
+    __slots__ = ("edges", "pairing", "involution", "vertices", "translations",
+                 "vertex_classes", "windings", "zeros", "genus", "charts",
+                 "overlaps")
 
     def __init__(self, **fields):
         for name in TranslationSurface.__slots__:
@@ -456,7 +457,6 @@ def ingest_polygon(pg: PolygonGluing) -> TranslationSurface:
         pairing=pairs,
         involution=tuple(involution),
         vertices=vertices,
-        pairs=pairs,
         translations=translations,
         vertex_classes=tuple(vertex_classes),
         windings=tuple(windings),

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import atlas, corpus, multi, transport
-from .errors import StarkitError
+from .errors import InputError, StarkitError
 from .moyal import StarProduct, verify_star_axioms
 from .parsing import parse_expr, parse_poly, parse_scalar, poly_to_str, series_to_str
 from .poisson import SymplecticForm, bivector_from_form
@@ -182,8 +182,9 @@ def cmd_product_star(args) -> int:
 
 
 def cmd_symmetrize(args) -> int:
-    space = multi.ProductSpace(args.n)
-    f = parse_poly(args.f, space.dim)
+    if args.n < 1:
+        raise InputError("need at least one copy")
+    f = parse_poly(args.f, 2 * args.n)
     result = multi.symmetrize(f)
     text = poly_to_str(result, _product_names(args.n))
     payload = {
@@ -329,6 +330,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # commands taking --count run that many generated cases; none
+        # would be a vacuous pass
+        if getattr(args, "count", 1) < 1:
+            raise InputError(f"--count must be at least 1, got {args.count}")
         return args.func(args)
     except StarkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

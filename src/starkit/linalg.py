@@ -85,26 +85,3 @@ def mat_inv(mat):
             work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
     return tuple(tuple(row[n:]) for row in work)
 
-
-def det(mat):
-    """Determinant by fraction-free elimination on a working copy."""
-    n = len(mat)
-    work = [list(row) for row in mat]
-    result = ExactComplex(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n)
-                      if not work[r][col].is_zero()), None)
-        if pivot is None:
-            return ExactComplex(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            result = -result
-        result = result * work[col][col]
-        inv = ExactComplex(1) / work[col][col]
-        for r in range(col + 1, n):
-            factor = work[r][col] * inv
-            if factor.is_zero():
-                continue
-            work[r] = [x - factor * y
-                       for x, y in zip(work[r], work[col])]
-    return result

@@ -206,11 +206,6 @@ class StarProduct:
         return conj == self.bivector.matrix
 
 
-def star_commutator(star: StarProduct, f, g,
-                    order: int | None = None) -> HbarSeries:
-    return star.commutator(f, g, order)
-
-
 def translate_poly(f: SparsePoly, shift) -> SparsePoly:
     """f shifted by a constant vector: z -> z + shift."""
     if len(shift) != f.arity:

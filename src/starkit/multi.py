@@ -20,7 +20,6 @@ from .poisson import SymplecticForm
 from .poly import SparsePoly
 from .reports import Report
 from .scalars import ExactComplex
-from .series import HbarSeries
 
 
 class ProductSpace:
@@ -51,11 +50,6 @@ class ProductSpace:
         if not 1 <= i <= self.copies:
             raise InputError(f"copy index {i} out of range")
         return SparsePoly.variable(self.dim, 2 * i)
-
-
-def product_star(ps: ProductSpace, f: SparsePoly, g: SparsePoly,
-                 order: int | None = None) -> HbarSeries:
-    return ps.star.star(f, g, order)
 
 
 class Permutation:

@@ -25,10 +25,9 @@ lexicographic order, series coefficients in ascending powers of h, and
 from __future__ import annotations
 
 import re as _re
-from fractions import Fraction
 
-from .errors import ArityError, ParseError
-from .poly import SparsePoly, grlex_key
+from .errors import ParseError
+from .poly import SparsePoly
 from .scalars import ExactComplex, format_rational
 from .series import HbarSeries
 

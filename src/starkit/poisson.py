@@ -69,9 +69,6 @@ class SymplecticForm:
             rows[a + 1][a] = 1
         return cls(rows)
 
-    def inverse_matrix(self):
-        return linalg.mat_inv(self.matrix)
-
     def __eq__(self, other):
         return (isinstance(other, SymplecticForm)
                 and self.matrix == other.matrix)

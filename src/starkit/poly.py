@@ -2,9 +2,9 @@
 
 A polynomial in m variables z1..zm is a finite map from exponent vectors
 (length-m tuples of nonnegative ints) to nonzero ``ExactComplex``
-coefficients.  Arithmetic is delegated to the kernel backend (compiled or
-pure Python, see ``starkit._kernel``); this module owns validation,
-ordering, and the public object API.
+coefficients.  Arithmetic on the term maps is delegated to
+``starkit._kernel``; this module owns validation, ordering, and the
+public object API.
 
 Variable indices in the public API are 1-based, matching the z1..zm
 naming of the text form.  Term order is graded lexicographic with
@@ -14,7 +14,7 @@ z1 > z2 > ... > zm, highest terms first.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import _kernel as K
 from .errors import ArityError

@@ -95,6 +95,11 @@ class SymplectoMap:
         bound = data["degree_bound"]
         if not isinstance(dim, int) or not isinstance(bound, int):
             raise InputError("dim and degree_bound must be integers")
+        for key in ("forward", "inverse"):
+            comps = data[key]
+            if (not isinstance(comps, list)
+                    or not all(isinstance(text, str) for text in comps)):
+                raise InputError(f"map {key} must be a list of strings")
         fwd = [parse_poly(text, dim) for text in data["forward"]]
         inv = [parse_poly(text, dim) for text in data["inverse"]]
         return cls(fwd, inv, bound)

@@ -119,6 +119,53 @@ def test_symmetrize(capsys):
     assert (code, out) == (0, "1/2*p1 + 1/2*p2\n")
 
 
+def test_symmetrize_needs_a_copy(capsys):
+    code, out, err = run(capsys, "symmetrize", "--n", "0", "1")
+    assert (code, out, err) == (2, "", "error: need at least one copy\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-dq"],
+    ["patch-check", "--surface", fixture_path("square.json")],
+    ["verify-transport", "--map", fixture_path("shear_map.json")],
+])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_count_below_one_is_exit_2(capsys, argv, count):
+    # zero generated cases would be a pass with no check run
+    code, out, err = run(capsys, *argv, "--count", count)
+    assert (code, out) == (2, "")
+    assert err == f"error: --count must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("argv, data, message", [
+    (["verify-transport", "--map"],
+     {"dim": 2, "degree_bound": 1, "forward": [1, "z2"],
+      "inverse": ["z1", "z2"]},
+     "map forward must be a list of strings"),
+    (["transport", "--map"],
+     {"dim": 2, "degree_bound": 1, "forward": ["z1", "z2"],
+      "inverse": "z1"},
+     "map inverse must be a list of strings"),
+    (["patch-check", "--surface"],
+     {"edges": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
+      "pairing": [[0]]},
+     "pairing entries must be [i, j] pairs"),
+    (["surface-ingest"],
+     {"edges": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
+      "pairing": 3},
+     "surface pairing must be a list"),
+    (["surface-ingest"], {"edges": 3, "pairing": []},
+     "surface edges must be a list"),
+])
+def test_malformed_map_or_pairing_is_exit_2(capsys, tmp_path, argv, data,
+                                            message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    extra = ["z1", "z2"] if argv[0] == "transport" else []
+    code, out, err = run(capsys, *argv, str(path), *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_transport_good_map(capsys):
     code, out, _ = run(capsys, "transport", "--map",
                        fixture_path("shear_map.json"), "--order", "3",
@@ -189,21 +236,25 @@ def test_json_identical_across_hash_seeds():
            fixture_path("octagon.json"), "--json"]
     outs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = _child_env(PYTHONHASHSEED=seed)
         outs.append(subprocess.run(cmd, capture_output=True, text=True,
                                    env=env, check=True).stdout)
     assert outs[0] == outs[1]
 
 
-def _run_entry_point(cmd, *argv):
-    """Run a console-script command in a fresh process, with the package
-    importable from wherever this test process imported it."""
+def _child_env(**extra):
+    """Environment for a fresh process, with the package importable from
+    wherever this test process imported it."""
     src_dir = pathlib.Path(starkit.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src_dir),
                                          os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _run_entry_point(cmd, *argv):
+    """Run a console-script command in a fresh process."""
     return subprocess.run([*cmd, *argv], capture_output=True, text=True,
-                          env=env)
+                          env=_child_env())
 
 
 def test_console_script_is_installed():

@@ -1,32 +1,18 @@
-"""Both kernel backends must agree exactly on every operation.
-
-The pure-Python kernel is always tested; the compiled one only where
-the extension has been built.
-"""
+"""The term-map kernel against Fraction arithmetic and sympy."""
 
 from fractions import Fraction
 
-import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starkit._kernel import py_ops
-
-try:
-    from starkit._kernel import cy_ops
-except ImportError:
-    cy_ops = None
-
-BACKENDS = [mod for mod in (py_ops, cy_ops) if mod is not None]
-
-needs_cy_ops = pytest.mark.skipif(
-    cy_ops is None, reason="compiled kernel starkit._kernel.cy_ops is not built")
+import starkit
+from starkit import _kernel as K
 
 
 def norm_coeff(raw):
-    rn, rd = py_ops.qnorm(raw[0], raw[1])
-    jn, jd = py_ops.qnorm(raw[2], raw[3])
+    rn, rd = K.qnorm(raw[0], raw[1])
+    jn, jd = K.qnorm(raw[2], raw[3])
     return rn, rd, jn, jd
 
 
@@ -47,27 +33,16 @@ def as_fraction_pair(c):
 
 
 def test_qnorm_normalizes():
-    for mod in BACKENDS:
-        assert mod.qnorm(0, 7) == (0, 1)
-        assert mod.qnorm(2, -4) == (-1, 2)
-        assert mod.qnorm(-6, -9) == (2, 3)
-        assert mod.qnorm(5, 1) == (5, 1)
+    assert K.qnorm(0, 7) == (0, 1)
+    assert K.qnorm(2, -4) == (-1, 2)
+    assert K.qnorm(-6, -9) == (2, 3)
+    assert K.qnorm(5, 1) == (5, 1)
 
 
 @given(st.integers(-200, 200), st.integers(-50, 50).filter(lambda d: d != 0))
 def test_qnorm_agrees_and_matches_fraction(n, d):
     f = Fraction(n, d)
-    for mod in BACKENDS:
-        rn, rd = mod.qnorm(n, d)
-        assert (rn, rd) == (f.numerator, f.denominator)
-
-
-@needs_cy_ops
-@given(coeffs, coeffs)
-def test_scalar_ops_agree(a, b):
-    for op in ("cadd", "csub", "cmul"):
-        assert getattr(py_ops, op)(a, b) == getattr(cy_ops, op)(a, b)
-    assert py_ops.cneg(a) == cy_ops.cneg(a)
+    assert K.qnorm(n, d) == (f.numerator, f.denominator)
 
 
 @given(coeffs, coeffs)
@@ -76,40 +51,28 @@ def test_cmul_matches_fraction_arithmetic(a, b):
     br, bi = as_fraction_pair(b)
     want_r = ar * br - ai * bi
     want_i = ar * bi + ai * br
-    got = py_ops.cmul(a, b)
+    got = K.cmul(a, b)
     assert as_fraction_pair(got) == (want_r, want_i)
     # products of normalized coefficients come back normalized
-    assert py_ops.qnorm(got[0], got[1]) == (got[0], got[1])
-    assert py_ops.qnorm(got[2], got[3]) == (got[2], got[3])
-
-
-@needs_cy_ops
-@settings(max_examples=60)
-@given(term_maps, term_maps)
-def test_map_ops_agree(t1, t2):
-    for op in ("madd", "msub", "mmul"):
-        assert getattr(py_ops, op)(t1, t2) == getattr(cy_ops, op)(t1, t2)
-    assert py_ops.mneg(t1) == cy_ops.mneg(t1)
-    assert py_ops.mdiff(t1, 0) == cy_ops.mdiff(t1, 0)
-    assert py_ops.mdiff(t1, 1) == cy_ops.mdiff(t1, 1)
+    assert K.qnorm(got[0], got[1]) == (got[0], got[1])
+    assert K.qnorm(got[2], got[3]) == (got[2], got[3])
 
 
 @settings(max_examples=40)
 @given(term_maps, term_maps, term_maps, nonzero_coeffs)
 def test_maddmul_agrees_and_accumulates(acc, t1, t2, c):
-    # every backend matching the same reference is the agreement check
-    want = py_ops.madd(acc, py_ops.mscale(py_ops.mmul(t1, t2), c))
-    for mod in BACKENDS:
-        got = dict(acc)
-        mod.maddmul(got, t1, t2, c)
-        assert got == want
+    # the fused kernel agrees with add, scale and multiply done apart
+    want = K.madd(acc, K.mscale(K.mmul(t1, t2), c))
+    got = dict(acc)
+    K.maddmul(got, t1, t2, c)
+    assert got == want
 
 
 @settings(max_examples=40)
 @given(term_maps, term_maps)
 def test_mmul_commutes_and_has_no_zero_entries(t1, t2):
-    p = py_ops.mmul(t1, t2)
-    q = py_ops.mmul(t2, t1)
+    p = K.mmul(t1, t2)
+    q = K.mmul(t2, t1)
     assert p == q
     assert all(c[0] != 0 or c[2] != 0 for c in p.values())
     # denominators stay positive and in lowest terms
@@ -129,7 +92,7 @@ def test_mmul_against_sympy():
     x, y = sympy.symbols("x y")
     t1 = {(2, 0): (1, 2, 0, 1), (0, 1): (0, 1, -3, 1), (1, 1): (2, 3, 1, 5)}
     t2 = {(0, 2): (4, 1, 0, 1), (1, 0): (-1, 3, 1, 2), (0, 0): (0, 1, 1, 1)}
-    got = _map_to_sympy(py_ops.mmul(t1, t2), x, y)
+    got = _map_to_sympy(K.mmul(t1, t2), x, y)
     want = sympy.expand(_map_to_sympy(t1, x, y) * _map_to_sympy(t2, x, y))
     assert sympy.simplify(got - want) == 0
 
@@ -138,19 +101,17 @@ def test_mdiff_against_sympy():
     x, y = sympy.symbols("x y")
     t = {(3, 1): (1, 1, 0, 1), (0, 2): (5, 2, -1, 3), (1, 0): (0, 1, 2, 1)}
     for var, s in ((0, x), (1, y)):
-        got = _map_to_sympy(py_ops.mdiff(t, var), x, y)
+        got = _map_to_sympy(K.mdiff(t, var), x, y)
         want = sympy.expand(sympy.diff(_map_to_sympy(t, x, y), s))
         assert sympy.simplify(got - want) == 0
 
 
 def test_zero_polynomial_is_empty_dict():
     t = {(1, 0): (1, 1, 0, 1)}
-    for mod in BACKENDS:
-        assert mod.msub(t, t) == {}
-    assert py_ops.mmul(t, {}) == {}
-    assert py_ops.mscale(t, (0, 1, 0, 1)) == {}
+    assert K.msub(t, t) == {}
+    assert K.mmul(t, {}) == {}
+    assert K.mscale(t, (0, 1, 0, 1)) == {}
 
 
-def test_backend_selection_reports_a_name():
-    from starkit import _kernel
-    assert _kernel.BACKEND in ("python", "cython")
+def test_backend_is_the_python_kernel():
+    assert starkit.BACKEND == "python"

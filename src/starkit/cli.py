@@ -27,6 +27,11 @@ def _load_form(name: str) -> SymplecticForm:
         return SymplecticForm.standard(_BUILTIN_FORMS[name])
     with open(name, "r", encoding="utf-8") as fh:
         rows = json.load(fh)
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)
+            and all(isinstance(entry, str) for row in rows for entry in row)):
+        raise InputError("form file must be a JSON list of lists of "
+                         "rational strings")
     return SymplecticForm([[parse_scalar(entry) for entry in row]
                            for row in rows])
 

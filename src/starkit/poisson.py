@@ -6,14 +6,13 @@ matrix T, antisymmetric and invertible, meaning the two-form
     omega = sum over a < b of T[a][b] dz_a ^ dz_b.
 
 The standard block on one (base, fiber) pair is dz_2 ^ dz_1, so T is
-[[0, -1], [1, 0]] there.  The induced bivector is obtained by the pairing
-route below rather than by a closed-form shortcut, so the sign conventions
-are fixed in exactly one place:
+[[0, -1], [1, 0]] there.  The induced bivector is the closed form
 
-    v_a   = solution of  T v_a = e_a     (column a of T^-1)
-    pi_ab = v_a . (T v_b)
+    pi = transpose(T^-1),
 
-which lands on pi = transpose(T^-1).  The bracket is then
+which is the pairing of coordinate gradients through the form: the
+vector field v_a with T v_a = e_a is column a of T^-1, and
+v_a . (T v_b) = v_a . e_b = (T^-1)_ba.  The bracket is then
 
     {f, g} = sum over a, b of pi_ab (df/dz_a) (dg/dz_b)
 
@@ -124,24 +123,8 @@ class PoissonBivector:
 
 
 def bivector_from_form(form: SymplecticForm) -> PoissonBivector:
-    """Invert the form by pairing coordinate gradients through it.
-
-    For each coordinate z_a the constant vector field v_a with
-    T v_a = e_a is computed, and pi_ab is read off as v_a . (T v_b).
-    """
-    theta = form.matrix
-    theta_inv = linalg.mat_inv(theta)
-    cols = linalg.transpose(theta_inv)  # cols[a] = column a of T^-1
-    n = form.dim
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            tv = linalg.mat_vec(theta, cols[b])
-            row.append(sum((x * y for x, y in zip(cols[a], tv)),
-                           ExactComplex(0)))
-        rows.append(row)
-    return PoissonBivector(rows)
+    """pi = transpose(T^-1) for the form's matrix T."""
+    return PoissonBivector(linalg.transpose(linalg.mat_inv(form.matrix)))
 
 
 def form_from_bivector(biv: PoissonBivector) -> SymplecticForm:

@@ -156,6 +156,10 @@ def test_count_below_one_is_exit_2(capsys, argv, count):
      "surface pairing must be a list"),
     (["surface-ingest"], {"edges": 3, "pairing": []},
      "surface edges must be a list"),
+    (["transport", "--map"],
+     {"dim": 3, "degree_bound": 1, "forward": ["z1", "z2"],
+      "inverse": ["z1", "z2"]},
+     "map declares dim 3 but forward has 2 components"),
 ])
 def test_malformed_map_or_pairing_is_exit_2(capsys, tmp_path, argv, data,
                                             message):
@@ -164,6 +168,22 @@ def test_malformed_map_or_pairing_is_exit_2(capsys, tmp_path, argv, data,
     extra = ["z1", "z2"] if argv[0] == "transport" else []
     code, out, err = run(capsys, *argv, str(path), *extra)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("rows", [
+    [1, 2],
+    [[0, 1], [-1, 0]],
+    5,
+    [[None, "1"], ["-1", "0"]],
+    {"a": 1},
+], ids=["rows-not-lists", "number-entries", "scalar", "null-entry", "object"])
+def test_malformed_form_file_is_exit_2(capsys, tmp_path, rows):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    code, out, err = run(capsys, "star", "--form", str(path), "z1", "z2")
+    assert (code, out, err) == (
+        2, "", "error: form file must be a JSON list of lists of rational "
+               "strings\n")
 
 
 def test_transport_good_map(capsys):

@@ -44,11 +44,24 @@ def test_standard_bracket_sign():
 
 
 def test_bivector_from_form_matches_inverse_transpose():
-    form = SymplecticForm.standard(2)
+    # a non-block Gaussian form with Pfaffian 3; pi pinned as literals
+    i = ExactComplex(0, 1)
+    form = SymplecticForm([
+        [0, 1, i, 2],
+        [-1, 0, Fraction(1, 2), -i],
+        [-i, Fraction(-1, 2), 0, 3],
+        [-2, i, -3, 0],
+    ])
     biv = bivector_from_form(form)
+    assert [[str(x) for x in row] for row in biv.matrix] == [
+        ["0", "1", "1/3*i", "1/6"],
+        ["-1", "0", "2/3", "-1/3*i"],
+        ["-1/3*i", "-2/3", "0", "1/3"],
+        ["-1/6", "1/3*i", "-1/3", "0"],
+    ]
     from starkit import linalg
-    want = linalg.transpose(linalg.mat_inv(form.matrix))
-    assert [list(r) for r in biv.matrix] == [list(r) for r in want]
+    assert (linalg.mat_mul(biv.matrix, linalg.transpose(form.matrix))
+            == linalg.identity(4))
 
 
 def test_form_bivector_round_trip():

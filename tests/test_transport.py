@@ -6,7 +6,7 @@ from starkit import transport
 from starkit.corpus import (random_poly, random_poly_triples,
                             random_symplectomorphisms)
 from starkit.errors import InputError
-from starkit.moyal import StarProduct
+from starkit.moyal import StarProduct, verify_star_axioms
 from starkit.parsing import parse_poly
 from starkit.poisson import SymplecticForm, standard_bivector
 from starkit.poly import SparsePoly
@@ -34,6 +34,26 @@ def test_constructor_validates_shape_only():
     with pytest.raises(InputError, match="component 0"):
         transport.SymplectoMap([parse_poly("z1", 2)],
                                [parse_poly("z1", 2)], 1)
+
+
+def test_verify_transported_dq_refuses_a_failed_round_trip():
+    m = make_map(["z1", "z2 + z1^2"], ["z1", "z2 + z1^2"], 2)
+    sp = StarProduct.standard(1, order=4)
+    triples = random_poly_triples(2, 1, 3, seed=20)
+    with pytest.raises(InputError,
+                       match="map rejected: coordinate 2 round trip failed"):
+        transport.verify_transported_dq(m, sp, triples, order=4)
+
+
+def test_verify_transported_dq_along_identity_is_the_star_suite():
+    sp = StarProduct.standard(1, order=4)
+    triples = random_poly_triples(2, 3, 3, seed=22)
+    got = transport.verify_transported_dq(
+        transport.SymplectoMap.identity(2), sp, triples, order=4).to_dict()
+    want = verify_star_axioms(sp, triples, 4).to_dict()
+    assert got.pop("title") == "transported deformation quantization axioms"
+    want.pop("title")
+    assert got == want
 
 
 def test_check_symplecto_passes_shears_and_translations():

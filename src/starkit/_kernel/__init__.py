@@ -45,10 +45,6 @@ def csub(a, b):
     return rn, rd, jn, jd
 
 
-def cneg(a):
-    return -a[0], a[1], -a[2], a[3]
-
-
 def cmul(a, b):
     # (x + yi)(u + vi) = (xu - yv) + (xv + yu)i
     xn, xd, yn, yd = a

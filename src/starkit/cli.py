@@ -21,6 +21,13 @@ from .reports import Report
 
 _BUILTIN_FORMS = {"omega0": 1, "omega0x2": 2, "omega0x3": 3}
 
+# size limits, refused with exit 2 before anything is built: a series
+# holds order + 1 coefficients, a product space is a 2n x 2n exact set-up,
+# and symmetrize walks all n! relabellings
+MAX_ORDER = 1000
+MAX_COPIES = 64
+MAX_SYMMETRIZE_COPIES = 9
+
 
 def _load_form(name: str) -> SymplecticForm:
     if name in _BUILTIN_FORMS:
@@ -52,12 +59,8 @@ def _emit(args, payload: dict, lines: list) -> None:
             print(line)
 
 
-def _report_payload(report: Report) -> dict:
-    return report.to_dict()
-
-
 def _finish_check(args, payload: dict, report: Report, lines: list) -> int:
-    payload["checks"] = _report_payload(report)
+    payload["checks"] = report.to_dict()
     payload["passed"] = report.passed
     lines.extend(report.summary_lines())
     lines.append("pass" if report.passed else "fail")
@@ -169,6 +172,8 @@ def cmd_product_star(args) -> int:
                 f"--n {copies} conflicts with delta = {delta}")
     if copies is None:
         raise StarkitError("need --n or --rank/--genus")
+    if copies > MAX_COPIES:
+        raise InputError(f"{copies} copies is over the limit of {MAX_COPIES}")
     space = multi.ProductSpace(copies, args.order)
     names = _product_names(copies)
     F = parse_expr(args.f, space.dim, args.order)
@@ -189,6 +194,9 @@ def cmd_product_star(args) -> int:
 def cmd_symmetrize(args) -> int:
     if args.n < 1:
         raise InputError("need at least one copy")
+    if args.n > MAX_SYMMETRIZE_COPIES:
+        raise InputError(f"symmetrize --n {args.n} is over the limit of "
+                         f"{MAX_SYMMETRIZE_COPIES}")
     f = parse_poly(args.f, 2 * args.n)
     result = multi.symmetrize(f)
     text = poly_to_str(result, _product_names(args.n))
@@ -210,7 +218,7 @@ def cmd_transport(args) -> int:
         "command": "transport",
         "inputs": {"map": args.map, "form": args.form, "order": args.order,
                    "f": args.f, "g": args.g},
-        "checks": _report_payload(gate),
+        "checks": gate.to_dict(),
         "passed": gate.passed,
     }
     if not gate.passed:
@@ -339,6 +347,9 @@ def main(argv=None) -> int:
         # would be a vacuous pass
         if getattr(args, "count", 1) < 1:
             raise InputError(f"--count must be at least 1, got {args.count}")
+        if getattr(args, "order", 0) > MAX_ORDER:
+            raise InputError(
+                f"--order {args.order} is over the limit of {MAX_ORDER}")
         return args.func(args)
     except StarkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,16 +14,19 @@ B_0 is the plain product and B_1 the Poisson bracket.  For polynomial
 inputs B_k vanishes once k exceeds the degree of either factor, so every
 truncation below is exact, not an approximation.
 
-B_k is evaluated by grouping the index tuples: only nonzero entries of pi
-contribute, and an unordered choice of k entries with multiplicities m_p
-accounts for k! / prod(m_p!) ordered tuples, all with the same derivative
-pair.  That turns a (2n)^(2k) sum into a walk over small multisets.
+All the B_k are evaluated together by one depth-first walk over the
+nonzero entries of pi, picked in nondecreasing index order so that each
+multiset of k entries is met once.  A multiset with multiplicities m_p
+stands for k! / prod(m_p!) ordered index tuples sharing one derivative
+pair, so its h^k weight is (i/2)^k prod(pi_p^m_p / m_p!): the walk
+multiplies by (i/2) pi_p / m each time it picks entry p for the m-th
+time.  Each step differentiates its parent's two derivatives once more,
+and a branch ends as soon as either is zero, since every further
+derivative of zero is zero.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations_with_replacement
 from math import factorial
 
 from . import _kernel as K
@@ -34,36 +37,6 @@ from .poly import SparsePoly
 from .reports import Report
 from .scalars import ExactComplex
 from .series import HbarSeries
-
-
-def _half_i_power(k: int) -> tuple:
-    """(i/2)^k / k! as a kernel coefficient."""
-    d = (1 << k) * factorial(k)
-    r = k % 4
-    if r == 0:
-        return (1, d, 0, 1)
-    if r == 1:
-        return (0, 1, 1, d)
-    if r == 2:
-        return (-1, d, 0, 1)
-    return (0, 1, -1, d)
-
-
-class _DerivCache:
-    """Iterated partials of one polynomial, keyed by multi-index."""
-
-    def __init__(self, f: SparsePoly):
-        self.n = f.arity
-        self.table = {(0,) * f.arity: f._terms}
-
-    def get(self, alpha: tuple) -> dict:
-        cached = self.table.get(alpha)
-        if cached is None:
-            var = next(i for i, e in enumerate(alpha) if e)
-            parent = alpha[:var] + (alpha[var] - 1,) + alpha[var + 1:]
-            cached = K.mdiff(self.get(parent), var)
-            self.table[alpha] = cached
-        return cached
 
 
 class StarProduct:
@@ -119,37 +92,41 @@ class StarProduct:
             return f * g
         if k > f.degree() or k > g.degree():
             return SparsePoly.zero(self.dim)
-        return self._bidiff(k, _DerivCache(f), _DerivCache(g))
+        return SparsePoly._from_raw(self.dim, self._bidiff(k, f, g)[k]).scale(
+            factorial(k) * ExactComplex(0, -2) ** k)
 
-    def _bidiff(self, k: int, df: _DerivCache, dg: _DerivCache) -> SparsePoly:
-        n = self.dim
-        kfact = factorial(k)
-        acc: dict = {}
-        for combo in combinations_with_replacement(self._pairs, k):
-            am = [0] * n
-            bm = [0] * n
-            cprod = K.CONE
-            for (a, b), c4 in combo:
-                am[a] += 1
-                bm[b] += 1
-                cprod = K.cmul(cprod, c4)
-            fa = df.get(tuple(am))
-            if not fa:
-                continue
-            gb = dg.get(tuple(bm))
-            if not gb:
-                continue
-            denom = 1
-            for m in Counter(combo).values():
-                denom *= factorial(m)
-            weight = K.cmul(cprod, K.qnorm(kfact, denom) + (0, 1))
-            K.maddmul(acc, fa, gb, weight)
-        return SparsePoly._from_raw(n, acc)
+    def _bidiff(self, top: int, f: SparsePoly, g: SparsePoly) -> list:
+        """The h^k coefficients of f * g for k = 1..top as term maps,
+        indexed by k; the walk described in the module docstring."""
+        pairs = self._pairs
+        steps = [K.cmul((0, 1, 1, 2), c4) for _, c4 in pairs]
+        accs = [{} for _ in range(top + 1)]
+        # (depth, last entry picked, its multiplicity, weight, df, dg)
+        stack = [(0, 0, 0, K.CONE, f._terms, g._terms)]
+        while stack:
+            depth, last, mult, weight, df, dg = stack.pop()
+            children = []
+            for p in range(last, len(pairs)):
+                (a, b), _ = pairs[p]
+                da = K.mdiff(df, a)
+                if not da:
+                    continue
+                db = K.mdiff(dg, b)
+                if not db:
+                    continue
+                m = mult + 1 if p == last else 1
+                w = K.cmul(weight, K.cmul(steps[p], (1, m, 0, 1)))
+                K.maddmul(accs[depth + 1], da, db, w)
+                if depth + 1 < top:
+                    children.append((depth + 1, p, m, w, da, db))
+            stack.extend(reversed(children))
+        return accs
 
     def coefficient(self, k: int, f: SparsePoly, g: SparsePoly) -> SparsePoly:
         """The h^k coefficient of f * g."""
-        return self.bidiff_power(k, f, g).scale(
-            ExactComplex.from_kernel(_half_i_power(k)))
+        if k < 0:
+            raise InputError("bidifferential order must be nonnegative")
+        return self.star(f, g, k)[k]
 
     def star(self, f: SparsePoly, g: SparsePoly,
              order: int | None = None) -> HbarSeries:
@@ -163,11 +140,10 @@ class StarProduct:
         top = min(order, f.degree(), g.degree())
         if top >= 0:
             coeffs[0] = f * g
-            df = _DerivCache(f)
-            dg = _DerivCache(g)
+        if top >= 1:
+            accs = self._bidiff(top, f, g)
             for k in range(1, top + 1):
-                coeffs[k] = self._bidiff(k, df, dg).scale(
-                    ExactComplex.from_kernel(_half_i_power(k)))
+                coeffs[k] = SparsePoly._from_raw(self.dim, accs[k])
         return HbarSeries(coeffs)
 
     def star_series(self, F: HbarSeries, G: HbarSeries) -> HbarSeries:

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import starkit
+from starkit import cli
 from starkit.cli import main
 from starkit.corpus import CORPUS_VERSION
 
@@ -107,6 +108,29 @@ def test_product_star_reports_delta(capsys):
     assert out.splitlines()[0] == "delta = 2 (2*delta = 4 coordinates)"
 
 
+@pytest.mark.parametrize("rank, genus, f, g, expected", [
+    ("3", "3", "q1^3*p1^3+q2*p19^2", "q1^3*p1^3+q19^3*p2", [
+        "delta = 19 (2*delta = 38 coordinates)",
+        "q1^6*p1^6 + q1^3*p1^3*p2*q19^3 + q1^3*p1^3*q2*p19^2"
+        " + q2*p2*q19^3*p19^2"
+        " + (3*i*q2*p2*q19^2*p19 - 1/2*i*q19^3*p19^2)*h"
+        " + (45/4*q1^4*p1^4 - 3/2*q2*p2*q19 + 3/2*q19^2*p19)*h^2"
+        " + 3/4*i*q19*h^3 + 27/2*q1^2*p1^2*h^4 + 9/16*h^6"]),
+    ("4", "2", "q17^3*p17^3+q1^2*p2", "q17^3*p17^3+p1*q2^2", [
+        "delta = 17 (2*delta = 34 coordinates)",
+        "q17^6*p17^6 + q1^2*p2*q17^3*p17^3 + p1*q2^2*q17^3*p17^3"
+        " + q1^2*p1*q2^2*p2 + (i*q1^2*p1*q2 - i*q1*q2^2*p2)*h"
+        " + (45/4*q17^4*p17^4 + q1*q2)*h^2 + 27/2*q17^2*p17^2*h^4"
+        " + 9/16*h^6"]),
+], ids=["delta19", "delta17"])
+def test_product_star_in_the_papers_delta_range(capsys, rank, genus, f, g,
+                                                expected):
+    # Sym^delta(T*X) at delta = r^2 (g - 1) + 1 = 19 and 17, order 8
+    code, out, _ = run(capsys, "product-star", "--rank", rank,
+                       "--genus", genus, f, g)
+    assert (code, out.splitlines()) == (0, expected)
+
+
 def test_product_star_conflicting_n(capsys):
     code, _, err = run(capsys, "product-star", "--n", "3", "--rank", "2",
                        "--genus", "2", "q1", "p1")
@@ -135,6 +159,35 @@ def test_count_below_one_is_exit_2(capsys, argv, count):
     code, out, err = run(capsys, *argv, "--count", count)
     assert (code, out) == (2, "")
     assert err == f"error: --count must be at least 1, got {count}\n"
+
+
+OVER = str(cli.MAX_ORDER + 1)
+ORDER_OVER = f"--order {OVER} is over the limit of {cli.MAX_ORDER}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["star", "--order", OVER, "z1", "z2"], ORDER_OVER),
+    (["verify-dq", "--count", "1", "--order", OVER], ORDER_OVER),
+    (["patch-check", "--surface", fixture_path("square.json"),
+      "--order", OVER], ORDER_OVER),
+    (["product-star", "--n", "1", "--order", OVER, "q1", "p1"], ORDER_OVER),
+    (["transport", "--map", fixture_path("shear_map.json"),
+      "--order", OVER, "z1", "z2"], ORDER_OVER),
+    (["verify-transport", "--map", fixture_path("shear_map.json"),
+      "--count", "1", "--order", OVER], ORDER_OVER),
+    (["product-star", "--n", str(cli.MAX_COPIES + 1), "q1", "p1"],
+     f"{cli.MAX_COPIES + 1} copies is over the limit of {cli.MAX_COPIES}"),
+    # delta = 2^2 (17 - 1) + 1 = 65, one over the copy limit
+    (["product-star", "--rank", "2", "--genus", "17", "q1", "p1"],
+     f"65 copies is over the limit of {cli.MAX_COPIES}"),
+    (["symmetrize", "--n", str(cli.MAX_SYMMETRIZE_COPIES + 1), "q1"],
+     f"symmetrize --n {cli.MAX_SYMMETRIZE_COPIES + 1} is over the limit "
+     f"of {cli.MAX_SYMMETRIZE_COPIES}"),
+])
+def test_oversized_request_is_exit_2(capsys, argv, message):
+    # refused before any series, product space or permutation is built
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, data, message", [

@@ -13,7 +13,7 @@ from starkit.errors import InputError
 from starkit.moyal import (StarProduct, linear_action_check,
                            translate_poly, translation_equivariance_check,
                            verify_dq_axioms, verify_star_axioms)
-from starkit.poisson import PoissonBivector
+from starkit.poisson import PoissonBivector, SymplecticForm
 from starkit.poly import SparsePoly
 from starkit.scalars import ExactComplex
 from starkit.series import HbarSeries
@@ -141,6 +141,41 @@ def test_bidiff_matches_reference_tensor_sum():
         want = ref_bidiff(k, poly_to_sympy(f, syms), poly_to_sympy(g, syms),
                           pi, syms)
         assert sympy.simplify(sympy.expand(got - want)) == 0
+
+
+def test_walk_matches_reference_on_non_block_form():
+    # the Pfaffian-3 Gaussian form of test_poisson: every row of pi has
+    # three nonzero entries, and the squares force repeated picks
+    s = StarProduct.from_form(SymplecticForm([
+        [0, 1, I, 2],
+        [-1, 0, Fraction(1, 2), -I],
+        [-I, Fraction(-1, 2), 0, 3],
+        [-2, I, -3, 0],
+    ]))
+    z1, z2, z3, z4 = (SparsePoly.variable(4, i) for i in range(1, 5))
+    f = random_poly(4, 3, 12) + z1 ** 2 * z3 ** 2
+    g = random_poly(4, 3, 13) + z2 ** 3 * z4.scale(I)
+    syms = symbols_for(4)
+    h = sympy.Symbol("h")
+    pi = bivector_to_sympy(s.bivector)
+    fs, gs = poly_to_sympy(f, syms), poly_to_sympy(g, syms)
+    for k in range(5):
+        got = poly_to_sympy(s.bidiff_power(k, f, g), syms)
+        assert sympy.expand(got - ref_bidiff(k, fs, gs, pi, syms)) == 0
+    got = series_to_sympy(s.star(f, g, 4), syms, h)
+    assert sympy.expand(got - ref_star(fs, gs, pi, syms, 4, h)) == 0
+
+
+def test_deep_walk_closed_form():
+    # z1^N * z2^N has one walk path of depth N, so a recursive walk would
+    # overflow the stack; B_k = (-1)^k (N!/(N-k)!)^2 z1^(N-k) z2^(N-k)
+    n = 1500
+    got = sp2().star(zvar(1) ** n, zvar(2) ** n, n)
+    for k in (0, 1, 2, 3, 750, n - 1, n):
+        falling = factorial(n) // factorial(n - k)
+        coeff = (I / 2) ** k * Fraction((-1) ** k * falling ** 2, factorial(k))
+        want = (zvar(1) ** (n - k) * zvar(2) ** (n - k)).scale(coeff)
+        assert got[k] == want
 
 
 # -- axioms ------------------------------------------------------------------

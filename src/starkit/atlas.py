@@ -134,7 +134,13 @@ class ChartMap:
         return cls.translation(0)
 
     def inverse(self) -> "ChartMap":
-        inv = linalg.mat_inv(self.matrix)
+        """v -> A^-1 v - A^-1 s, with A^-1 the adjugate over det A."""
+        (a, b), (c, d) = self.matrix
+        det = a * d - b * c
+        if det.is_zero():
+            raise InputError("matrix is singular")
+        r = 1 / det
+        inv = ((d * r, -b * r), (-c * r, a * r))
         s = linalg.mat_vec(inv, self.shift)
         return ChartMap(inv, tuple(-x for x in s))
 

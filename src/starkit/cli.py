@@ -23,7 +23,8 @@ _BUILTIN_FORMS = {"omega0": 1, "omega0x2": 2, "omega0x3": 3}
 
 # size limits, refused with exit 2 before anything is built: a series
 # holds order + 1 coefficients, a product space is a 2n x 2n exact set-up,
-# and symmetrize walks all n! relabellings
+# and symmetrize writes each monomial's orbit, up to n! images when its
+# n blocks all differ
 MAX_ORDER = 1000
 MAX_COPIES = 64
 MAX_SYMMETRIZE_COPIES = 9

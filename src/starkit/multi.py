@@ -11,9 +11,10 @@ matches composing permutations.
 
 from __future__ import annotations
 
-from itertools import permutations as _all_images
-from math import factorial
+from itertools import chain, permutations as _all_images
+from math import comb
 
+from . import _kernel as K
 from .errors import ArityError, InputError
 from .moyal import StarProduct
 from .poisson import SymplecticForm
@@ -147,23 +148,68 @@ def equivariance_check(ps: ProductSpace, sigma: Permutation,
     return rep
 
 
+def _arrangements(blocks):
+    """The distinct orderings of blocks, in lexicographic order.
+
+    Steps by next permutation, so equal blocks never repeat an ordering;
+    yields one list, reordered in place between yields.
+    """
+    a = sorted(blocks)
+    last = len(a) - 1
+    while True:
+        yield a
+        i = last - 1
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def _orbit_size(blocks) -> int:
+    """n! / (m_1! m_2! ...) for the multiplicities m_b of the blocks."""
+    size, seen = 1, 0
+    for b in set(blocks):
+        m = blocks.count(b)
+        seen += m
+        size *= comb(seen, m)
+    return size
+
+
 def symmetrize(f: SparsePoly) -> SparsePoly:
-    """Average of f over all relabellings; a projection onto invariants."""
+    """Average of f over all relabellings; a projection onto invariants.
+
+    Each monomial is spread evenly over its orbit, the distinct
+    arrangements of its (zeta_i, lambda_i) blocks, with weight 1/|orbit|.
+    A monomial fixed by a stabilizer of m_1! m_2! ... relabellings has
+    n!/(m_1! m_2! ...) images, so this equals (1/n!) sum over sigma of
+    sigma(f) without walking the n! relabellings.
+    """
     if f.arity % 2 != 0:
         raise ArityError("symmetrize needs an even arity (pairs of variables)")
-    n = f.arity // 2
-    total = SparsePoly.zero(f.arity)
-    for sigma in Permutation.all_of(n):
-        total = total + permute_poly(sigma, f)
-    inv = ExactComplex(1) / ExactComplex(factorial(n))
-    return total.scale(inv)
+    acc: dict = {}
+    for exps, c in f._terms.items():
+        blocks = [exps[k:k + 2] for k in range(0, f.arity, 2)]
+        share = K.cmul(c, (1, _orbit_size(blocks), 0, 1))
+        for image in _arrangements(blocks):
+            e = tuple(chain.from_iterable(image))
+            old = acc.get(e)
+            acc[e] = share if old is None else K.cadd(old, share)
+    return SparsePoly._from_raw(
+        f.arity, {e: c for e, c in acc.items() if c[0] != 0 or c[2] != 0})
 
 
 def is_symmetric(f: SparsePoly) -> bool:
+    """Fixed by every relabelling; the adjacent swaps generate S_n."""
     if f.arity % 2 != 0:
         raise ArityError("symmetry is defined for even arity")
     n = f.arity // 2
-    return all(permute_poly(sigma, f) == f for sigma in Permutation.all_of(n))
+    return all(permute_poly(Permutation.transposition(n, i, i + 1), f) == f
+               for i in range(n - 1))
 
 
 def power_sum(ps: ProductSpace, k: int) -> SparsePoly:

@@ -41,16 +41,17 @@ def _check_antisymmetric(mat, what: str) -> None:
 class SymplecticForm:
     """Constant-coefficient symplectic form on dimension dim."""
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ("dim", "matrix", "inverse")
 
     def __init__(self, matrix):
         mat = linalg.as_matrix(matrix)
         _check_antisymmetric(mat, "a symplectic form")
         if len(mat) % 2 != 0:
             raise InputError("a symplectic form needs even dimension")
-        linalg.mat_inv(mat)  # rejects degenerate forms
+        inverse = linalg.mat_inv(mat)  # rejects degenerate forms
         object.__setattr__(self, "dim", len(mat))
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "inverse", inverse)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymplecticForm is immutable")
@@ -124,7 +125,7 @@ class PoissonBivector:
 
 def bivector_from_form(form: SymplecticForm) -> PoissonBivector:
     """pi = transpose(T^-1) for the form's matrix T."""
-    return PoissonBivector(linalg.transpose(linalg.mat_inv(form.matrix)))
+    return PoissonBivector(linalg.transpose(form.inverse))
 
 
 def form_from_bivector(biv: PoissonBivector) -> SymplecticForm:

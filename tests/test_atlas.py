@@ -140,6 +140,23 @@ def test_translation_chart_map_round_trip():
     assert t.push(t.pull(f)) == f
 
 
+def test_non_translation_chart_map_inverse():
+    m = atlas.ChartMap([[c2(2, 1), c2(Fraction(1, 3))],
+                        [c2(-1, 2), c2(Fraction(3, 4), -1)]],
+                       [c2(Fraction(5, 2), -3), c2(0, Fraction(1, 7))])
+    inv = m.inverse()
+    assert m.compose(inv).is_identity()
+    assert inv.compose(m).is_identity()
+    f = SparsePoly.variable(2, 1) ** 2 * SparsePoly.variable(2, 2)
+    assert m.pull(inv.pull(f)) == f
+
+
+def test_singular_chart_map_has_no_inverse():
+    m = atlas.ChartMap([[c2(1, 1), c2(2)], [c2(1), c2(1, -1)]], [0, 0])
+    with pytest.raises(InputError, match="matrix is singular"):
+        m.inverse()
+
+
 def test_cotangent_transition_moves_base_only():
     # base coordinate shifts, fiber coordinate is untouched
     t = atlas.cotangent_transition(c2(5))

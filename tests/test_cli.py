@@ -143,6 +143,16 @@ def test_symmetrize(capsys):
     assert (code, out) == (0, "1/2*p1 + 1/2*p2\n")
 
 
+def test_symmetrize_at_the_copy_limit(capsys):
+    # q1*p2 has two distinct blocks and seven empty ones: 9!/7! = 72 images
+    code, out, _ = run(capsys, "symmetrize", "--n", "9", "q1*p2")
+    terms = out.rstrip("\n").split(" + ")
+    assert code == 0
+    assert len(terms) == 72
+    assert len(set(terms)) == 72
+    assert all(t.startswith("1/72*") for t in terms)
+
+
 def test_symmetrize_needs_a_copy(capsys):
     code, out, err = run(capsys, "symmetrize", "--n", "0", "1")
     assert (code, out, err) == (2, "", "error: need at least one copy\n")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -110,6 +111,51 @@ def test_symmetrize_basics():
     assert got == want
     assert multi.is_symmetric(got)
     assert multi.symmetrize(got) == got
+
+
+def brute_force_average(f):
+    n = f.arity // 2
+    total = SparsePoly.zero(f.arity)
+    for sigma in multi.Permutation.all_of(n):
+        total = total + multi.permute_poly(sigma, f)
+    return total.scale(Fraction(1, factorial(n)))
+
+
+def test_symmetrize_repeated_blocks_share_the_orbit():
+    # q1*q2 at n = 3 has blocks (1,0), (1,0), (0,0): an orbit of 3!/2! = 3
+    ps = multi.ProductSpace(3)
+    got = multi.symmetrize(ps.zeta(1) * ps.zeta(2))
+    want = (ps.zeta(1) * ps.zeta(2) + ps.zeta(1) * ps.zeta(3)
+            + ps.zeta(2) * ps.zeta(3)).scale(Fraction(1, 3))
+    assert got == want
+    assert len(got) == 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetrize_matches_the_n_factorial_average(n):
+    ps = multi.ProductSpace(n, order=1)
+    for seed in range(4):
+        f = random_poly(2 * n, 3, seed=100 * n + seed)
+        # repeated blocks: every copy alike, and two copies alike
+        f = f + ps.lam(1) * (ps.zeta(1) + ps.lam(n)).scale(ExactComplex(1, -2))
+        assert multi.symmetrize(f) == brute_force_average(f)
+        # terms that cancel: f minus a relabelling of itself averages to 0
+        sigma = multi.Permutation(list(range(1, n)) + [0])
+        g = f - multi.permute_poly(sigma, f)
+        assert multi.symmetrize(g) == brute_force_average(g)
+        assert multi.symmetrize(g).is_zero()
+
+
+def test_is_symmetric_needs_every_adjacent_swap():
+    # fixed by swapping copies 1 and 2, not by swapping copies 2 and 3
+    ps = multi.ProductSpace(3)
+    f = ps.zeta(1) + ps.zeta(2)
+    swap12 = multi.Permutation.transposition(3, 0, 1)
+    swap23 = multi.Permutation.transposition(3, 1, 2)
+    assert multi.permute_poly(swap12, f) == f
+    assert multi.permute_poly(swap23, f) != f
+    assert not multi.is_symmetric(f)
+    assert multi.is_symmetric(f + ps.zeta(3))
 
 
 def test_symmetrize_fixes_symmetric_inputs():

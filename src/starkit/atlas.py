@@ -127,11 +127,8 @@ class ChartMap:
 
     @classmethod
     def translation(cls, c) -> "ChartMap":
+        """The chart change (zeta, lambda) -> (zeta + c, lambda)."""
         return cls(linalg.identity(2), (ExactComplex.coerce(c), ExactComplex(0)))
-
-    @classmethod
-    def identity(cls) -> "ChartMap":
-        return cls.translation(0)
 
     def inverse(self) -> "ChartMap":
         """v -> A^-1 v - A^-1 s, with A^-1 the adjugate over det A."""
@@ -160,19 +157,10 @@ class ChartMap:
             raise ArityError("chart functions have arity 2")
         return f.affine_subst(self.matrix, list(self.shift))
 
-    def push(self, f: SparsePoly) -> SparsePoly:
-        """Express f in image coordinates: compose with the inverse map."""
-        inv = self.inverse()
-        return f.affine_subst(inv.matrix, list(inv.shift))
-
-    def pull_series(self, F: HbarSeries) -> HbarSeries:
-        return F.map_coeffs(self.pull)
-
     def symplectic_residual(self, form: SymplecticForm):
         """A^T Theta A - Theta; zero exactly when the map preserves the form."""
-        at = linalg.transpose(self.matrix)
-        conj = linalg.mat_mul(at, linalg.mat_mul(form.matrix, self.matrix))
-        return linalg.mat_sub(conj, form.matrix)
+        return linalg.congruence_residual(linalg.transpose(self.matrix),
+                                          form.matrix)
 
     def __eq__(self, other):
         return (isinstance(other, ChartMap)
@@ -180,11 +168,6 @@ class ChartMap:
 
     def __repr__(self):
         return f"ChartMap({[[str(x) for x in r] for r in self.matrix]}, {[str(x) for x in self.shift]})"
-
-
-def cotangent_transition(c) -> ChartMap:
-    """The chart change (zeta, lambda) -> (zeta + c, lambda)."""
-    return ChartMap.translation(c)
 
 
 @dataclass(frozen=True)
@@ -444,9 +427,9 @@ def ingest_polygon(pg: PolygonGluing) -> TranslationSurface:
         side_constant[i] = ExactComplex(0)
         side_constant[j] = -t_ij
         overlaps.append(Overlap("base", name, f"side{i}",
-                                cotangent_transition(0)))
+                                ChartMap.translation(0)))
         overlaps.append(Overlap("base", name, f"side{j}",
-                                cotangent_transition(-t_ij)))
+                                ChartMap.translation(-t_ij)))
 
     # corner overlaps between the edge charts of consecutive sides
     for t in range(m):
@@ -456,7 +439,7 @@ def ingest_polygon(pg: PolygonGluing) -> TranslationSurface:
         src = chart_of_side[prev_side]
         dst = chart_of_side[t]
         overlaps.append(Overlap(src, dst, f"corner{t}",
-                                cotangent_transition(c2 - c1)))
+                                ChartMap.translation(c2 - c1)))
 
     return TranslationSurface(
         edges=edges,
@@ -544,19 +527,19 @@ def overlap_agreement_check(surface: TranslationSurface, overlap, f, g,
     """Quantize on either side of an overlap and compare exactly.
 
     The product is computed in the source chart directly, then again by
-    re-expressing both inputs in the destination chart (through the given
-    transition, by default the overlap's own), starring there, and
-    returning through the overlap's recorded transition.  The return leg
-    always uses the surface data, so a corrupted forward transition shows
-    up as a mismatch instead of silently cancelling.
+    re-expressing both inputs in the destination chart (pulling them
+    through the inverse of the given transition, by default the overlap's
+    own), starring there, and pulling the result back through the
+    overlap's recorded transition.  The return leg always uses the surface
+    data, so a corrupted forward transition shows up as a mismatch instead
+    of silently cancelling.
     """
     ov = surface.find_overlap(overlap)
     forward = transition if transition is not None else ov.transition
     direct = chart_star(surface, ov.src, f, g, order)
-    f_dst = forward.push(f)
-    g_dst = forward.push(g)
-    remote = chart_star(surface, ov.dst, f_dst, g_dst, order)
-    returned = ov.transition.pull_series(remote)
+    back = forward.inverse()
+    remote = chart_star(surface, ov.dst, back.pull(f), back.pull(g), order)
+    returned = remote.map_coeffs(ov.transition.pull)
     ok = direct == returned
     rep = Report("overlap agreement")
     rep.add(f"{ov.src}->{ov.dst} [{ov.component}]", ok,

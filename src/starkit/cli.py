@@ -23,11 +23,13 @@ _BUILTIN_FORMS = {"omega0": 1, "omega0x2": 2, "omega0x3": 3}
 
 # size limits, refused with exit 2 before anything is built: a series
 # holds order + 1 coefficients, a product space is a 2n x 2n exact set-up,
-# and symmetrize writes each monomial's orbit, up to n! images when its
-# n blocks all differ
+# symmetrize writes each monomial's orbit, up to n! images when its
+# n blocks all differ, and a dense form file of dimension d costs d^3 to
+# invert and d^4 in the verify-transport Jacobian loop
 MAX_ORDER = 1000
 MAX_COPIES = 64
 MAX_SYMMETRIZE_COPIES = 9
+MAX_FORM_DIM = 16
 
 
 def _load_form(name: str) -> SymplecticForm:
@@ -40,6 +42,9 @@ def _load_form(name: str) -> SymplecticForm:
             and all(isinstance(entry, str) for row in rows for entry in row)):
         raise InputError("form file must be a JSON list of lists of "
                          "rational strings")
+    if len(rows) > MAX_FORM_DIM:
+        raise InputError(f"form dimension {len(rows)} is over the limit of "
+                         f"{MAX_FORM_DIM}")
     return SymplecticForm([[parse_scalar(entry) for entry in row]
                            for row in rows])
 

@@ -114,8 +114,7 @@ def _univariate(rng: random.Random, max_degree: int) -> SparsePoly:
     for d in range(top):
         if rng.random() < 0.5:
             terms[(d,)] = _scalar(rng, zero_ok=True)
-    return SparsePoly(1, {e: c for e, c in terms.items()
-                          if not c.is_zero()} or {(top,): (1, 1, 0, 1)})
+    return SparsePoly(1, terms)
 
 
 def _shear(rng: random.Random, fiber: bool, max_degree: int) -> SymplectoMap:

@@ -28,11 +28,6 @@ def identity(n: int):
                  for r in range(n))
 
 
-def zeros(n: int):
-    zero = ExactComplex(0)
-    return tuple((zero,) * n for _ in range(n))
-
-
 def transpose(mat):
     return tuple(zip(*mat))
 
@@ -57,6 +52,11 @@ def mat_mul(a, b):
 def mat_vec(mat, vec):
     return tuple(sum((x * y for x, y in zip(row, vec)), ExactComplex(0))
                  for row in mat)
+
+
+def congruence_residual(s, m):
+    """S M S^T - M; zero exactly when the congruence by S fixes M."""
+    return mat_sub(mat_mul(s, mat_mul(m, transpose(s))), m)
 
 
 def is_zero_matrix(mat) -> bool:

@@ -177,9 +177,8 @@ class StarProduct:
         S = linalg.as_matrix(matrix)
         if len(S) != self.dim:
             raise ArityError(f"matrix must be {self.dim}x{self.dim}")
-        conj = linalg.mat_mul(S, linalg.mat_mul(self.bivector.matrix,
-                                                linalg.transpose(S)))
-        return conj == self.bivector.matrix
+        return linalg.is_zero_matrix(
+            linalg.congruence_residual(S, self.bivector.matrix))
 
 
 def translate_poly(f: SparsePoly, shift) -> SparsePoly:
@@ -189,16 +188,13 @@ def translate_poly(f: SparsePoly, shift) -> SparsePoly:
     return f.affine_subst(linalg.identity(f.arity), list(shift))
 
 
-def translate_series(F: HbarSeries, shift) -> HbarSeries:
-    return F.map_coeffs(lambda p: translate_poly(p, shift))
-
-
 def translation_equivariance_check(star: StarProduct, f, g, shift,
                                    order: int) -> Report:
     """Translating the inputs commutes with the product, exactly."""
     rep = Report("translation equivariance")
     lhs = star.star(translate_poly(f, shift), translate_poly(g, shift), order)
-    rhs = translate_series(star.star(f, g, order), shift)
+    rhs = star.star(f, g, order).map_coeffs(
+        lambda p: translate_poly(p, shift))
     rep.add("translate-then-star equals star-then-translate", lhs == rhs,
             "" if lhs == rhs else f"difference {lhs - rhs}")
     return rep
@@ -215,10 +211,8 @@ def linear_action_check(star: StarProduct, matrix, cases=None,
     S = linalg.as_matrix(matrix)
     if len(S) != star.dim:
         raise ArityError(f"matrix must be {star.dim}x{star.dim}")
-    if not star.invariant_under(S):
-        conj = linalg.mat_mul(S, linalg.mat_mul(star.bivector.matrix,
-                                                linalg.transpose(S)))
-        residual = linalg.mat_sub(conj, star.bivector.matrix)
+    residual = linalg.congruence_residual(S, star.bivector.matrix)
+    if not linalg.is_zero_matrix(residual):
         raise InputError(
             "matrix does not preserve the bivector; residual "
             f"{[[str(x) for x in row] for row in residual]}")

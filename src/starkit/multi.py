@@ -75,10 +75,6 @@ class Permutation:
         return self.images[i]
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"transposition indices must lie in 0..{n - 1}")

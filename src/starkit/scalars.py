@@ -147,8 +147,3 @@ class ExactComplex:
 
     def __repr__(self):
         return f"ExactComplex({self.re!r}, {self.im!r})"
-
-
-ZERO = ExactComplex(0)
-ONE = ExactComplex(1)
-I = ExactComplex(0, 1)

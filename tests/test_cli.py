@@ -193,6 +193,8 @@ ORDER_OVER = f"--order {OVER} is over the limit of {cli.MAX_ORDER}"
     (["symmetrize", "--n", str(cli.MAX_SYMMETRIZE_COPIES + 1), "q1"],
      f"symmetrize --n {cli.MAX_SYMMETRIZE_COPIES + 1} is over the limit "
      f"of {cli.MAX_SYMMETRIZE_COPIES}"),
+    (["bracket", "--form", fixture_path("form_dim17.json"), "z1", "z2"],
+     f"form dimension 17 is over the limit of {cli.MAX_FORM_DIM}"),
 ])
 def test_oversized_request_is_exit_2(capsys, argv, message):
     # refused before any series, product space or permutation is built

@@ -22,11 +22,13 @@ from .reports import Report
 _BUILTIN_FORMS = {"omega0": 1, "omega0x2": 2, "omega0x3": 3}
 
 # size limits, refused with exit 2 before anything is built: a series
-# holds order + 1 coefficients, a product space is a 2n x 2n exact set-up,
-# symmetrize writes each monomial's orbit, up to n! images when its
-# n blocks all differ, and a dense form file of dimension d costs d^3 to
-# invert and d^4 in the verify-transport Jacobian loop
+# holds order + 1 coefficients, --count cases are all generated up front,
+# a product space is a 2n x 2n exact set-up, symmetrize writes each
+# monomial's orbit, up to n! images when its n blocks all differ, and a
+# dense form file of dimension d costs d^3 to invert and d^3 polynomial
+# products in the verify-transport Jacobian congruence
 MAX_ORDER = 1000
+MAX_COUNT = 1000
 MAX_COPIES = 64
 MAX_SYMMETRIZE_COPIES = 9
 MAX_FORM_DIM = 16
@@ -353,6 +355,9 @@ def main(argv=None) -> int:
         # would be a vacuous pass
         if getattr(args, "count", 1) < 1:
             raise InputError(f"--count must be at least 1, got {args.count}")
+        if getattr(args, "count", 1) > MAX_COUNT:
+            raise InputError(
+                f"--count {args.count} is over the limit of {MAX_COUNT}")
         if getattr(args, "order", 0) > MAX_ORDER:
             raise InputError(
                 f"--order {args.order} is over the limit of {MAX_ORDER}")

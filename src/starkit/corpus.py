@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import linalg
 from .multi import Permutation
 from .poly import SparsePoly
 from .scalars import ExactComplex
@@ -90,9 +91,8 @@ def random_sl2_matrices(count: int, seed: int) -> list:
                 c = rng.choice([Fraction(2), Fraction(3), Fraction(1, 2),
                                 Fraction(1, 3), Fraction(-1)])
                 factor = [[c, Fraction(0)], [Fraction(0), 1 / c]]
-            mat = [[sum(mat[r][k] * factor[k][c] for k in range(2))
-                    for c in range(2)] for r in range(2)]
-        out.append(tuple(tuple(row) for row in mat))
+            mat = linalg.mat_mul(mat, factor)
+        out.append(mat)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Small exact matrices over ExactComplex.
+"""Small exact matrices over ExactComplex (products also over Fraction).
 
 Matrices are tuples of row tuples.  Everything here is meant for the tiny
 structure matrices of symplectic forms and bivectors (dimension at most a
@@ -6,6 +6,9 @@ dozen or so), so the implementations favour clarity over asymptotics.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import add, mul
 
 from .errors import InputError
 from .scalars import ExactComplex
@@ -43,20 +46,17 @@ def mat_sub(a, b):
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)),
-                           ExactComplex(0))
-                       for col in bt)
+    return tuple(tuple(reduce(add, map(mul, row, col)) for col in bt)
                  for row in a)
 
 
 def mat_vec(mat, vec):
-    return tuple(sum((x * y for x, y in zip(row, vec)), ExactComplex(0))
-                 for row in mat)
+    return tuple(reduce(add, map(mul, row, vec)) for row in mat)
 
 
 def congruence_residual(s, m):
-    """S M S^T - M; zero exactly when the congruence by S fixes M."""
-    return mat_sub(mat_mul(s, mat_mul(m, transpose(s))), m)
+    """(S M) S^T - M, zero iff congruence by S fixes M; S may be polynomial."""
+    return mat_sub(mat_mul(mat_mul(s, m), transpose(s)), m)
 
 
 def is_zero_matrix(mat) -> bool:

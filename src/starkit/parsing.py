@@ -31,6 +31,10 @@ from .poly import SparsePoly
 from .scalars import ExactComplex, format_rational
 from .series import HbarSeries
 
+# parentheses recurse through five methods per level; deeper text is
+# refused before it can exhaust the interpreter's recursion limit
+MAX_NESTING = 100
+
 _TOKEN_RE = _re.compile(r"\s*(?:(\d+)|([zqp]\d+)|([ih])|([-+*/^()])|(.))")
 
 
@@ -77,6 +81,7 @@ class _Parser:
         self.arity = arity
         self.allow_h = allow_h
         self.width = arity + 1
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.idx]
@@ -154,10 +159,15 @@ class _Parser:
         if kind == "name":
             return SparsePoly.variable(self.width, self._var_index(text, col))
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING} levels", col)
             value = self.expr()
             kind2, text2, col2 = self.take()
             if kind2 != ")":
                 raise ParseError("expected ')'", col2)
+            self.depth -= 1
             return value
         if kind == "end":
             raise ParseError("expected an operand", col)

@@ -26,11 +26,8 @@ def grlex_key(exps):
 
 
 def _coerce_coeff(value):
-    if isinstance(value, ExactComplex):
-        return value.to_kernel()
-    if isinstance(value, (int, Fraction)):
-        f = Fraction(value)
-        return (f.numerator, f.denominator, 0, 1)
+    if isinstance(value, (ExactComplex, int, Fraction)):
+        return ExactComplex.coerce(value).to_kernel()
     raise ArityError(f"cannot use {value!r} as a polynomial coefficient")
 
 
@@ -100,8 +97,7 @@ class SparsePoly:
 
     def constant_value(self) -> ExactComplex:
         """The coefficient of the constant monomial."""
-        c = self._terms.get((0,) * self.arity)
-        return ExactComplex.from_kernel(c) if c is not None else ExactComplex(0)
+        return ExactComplex.from_kernel(self._terms.get((0,) * self.arity, K.CZERO))
 
     def degree(self) -> int:
         """Total degree; zero polynomial reports -1."""
@@ -110,8 +106,7 @@ class SparsePoly:
         return max(sum(e) for e in self._terms)
 
     def coefficient(self, exps: Sequence[int]) -> ExactComplex:
-        c = self._terms.get(tuple(exps))
-        return ExactComplex.from_kernel(c) if c is not None else ExactComplex(0)
+        return ExactComplex.from_kernel(self._terms.get(tuple(exps), K.CZERO))
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], ExactComplex]]:
         """Terms in descending graded lexicographic order."""

@@ -1,8 +1,10 @@
 """Exact Gaussian rational scalars.
 
 ``ExactComplex`` is the coefficient field everywhere in the package:
-a + b*i with a, b exact ``Fraction`` values.  Equality is exact and
-decidable; there is no floating-point mode.
+a + b*i with a, b exact rationals, held as the term-map kernel's own
+normalized tuple (rn, rd, jn, jd) and computed with its ``cadd``, ``csub``
+and ``cmul``; ``re`` and ``im`` read the parts as ``Fraction``.  Equality
+is exact and decidable; there is no floating-point mode.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 
+from . import _kernel as K
 from .errors import InputError
 
 _RATIONAL_RE = _re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -35,22 +38,37 @@ def format_rational(q: Fraction) -> str:
 class ExactComplex:
     """Immutable exact complex number with rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_c",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        for part in (re, im):
+            if isinstance(part, float):
+                raise InputError(f"float {part!r} not allowed; use an exact "
+                                 f"rational like 1/2")
+        object.__setattr__(self, "_c", Fraction(re).as_integer_ratio()
+                           + Fraction(im).as_integer_ratio())
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
 
     @classmethod
     def from_kernel(cls, c) -> "ExactComplex":
-        return cls(Fraction(c[0], c[1]), Fraction(c[2], c[3]))
+        """Wrap c as is; like every kernel result, it must be normalized
+        (positive coprime denominators, a zero part stored as (0, 1))."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "_c", c)
+        return z
 
     def to_kernel(self):
-        return (self.re.numerator, self.re.denominator,
-                self.im.numerator, self.im.denominator)
+        return self._c
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._c[0], self._c[1])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._c[2], self._c[3])
 
     @classmethod
     def coerce(cls, value) -> "ExactComplex":
@@ -63,34 +81,32 @@ class ExactComplex:
         raise InputError(f"cannot interpret {value!r} as an exact complex scalar")
 
     def __add__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        return self.from_kernel(K.cadd(self._c, self.coerce(other)._c))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        return self.from_kernel(K.csub(self._c, self.coerce(other)._c))
 
     def __rsub__(self, other):
         return ExactComplex.coerce(other) - self
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        rn, rd, jn, jd = self._c
+        return self.from_kernel((-rn, rd, -jn, jd))
 
     def __mul__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
+        return self.from_kernel(K.cmul(self._c, self.coerce(other)._c))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = ExactComplex.coerce(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        if other.is_zero():
             raise ZeroDivisionError("division by zero ExactComplex")
-        return self * ExactComplex(other.re / n, -other.im / n)
+        conj = other.conj()._c
+        nn, nd, _, _ = K.cmul(other._c, conj)  # |other|^2 = nn/nd > 0
+        return self.from_kernel(K.cmul(K.cmul(self._c, conj), (nd, nn, 0, 1)))
 
     def __rtruediv__(self, other):
         return ExactComplex.coerce(other) / self
@@ -110,31 +126,32 @@ class ExactComplex:
         return out
 
     def conj(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        rn, rd, jn, jd = self._c
+        return self.from_kernel((rn, rd, -jn, jd))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._c[0] == 0 and self._c[2] == 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ExactComplex(other)
         if not isinstance(other, ExactComplex):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._c == other._c
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self._c)
 
     def __str__(self):
-        if self.im == 0:
-            return format_rational(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return format_rational(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{format_rational(self.im)}*i"
-        im = self.im
+            return f"{format_rational(im)}*i"
         if im == 1:
             tail = "+i"
         elif im == -1:
@@ -143,7 +160,7 @@ class ExactComplex:
             tail = f"+{format_rational(im)}*i"
         else:
             tail = f"-{format_rational(-im)}*i"
-        return format_rational(self.re) + tail
+        return format_rational(re) + tail
 
     def __repr__(self):
         return f"ExactComplex({self.re!r}, {self.im!r})"

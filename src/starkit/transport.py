@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 
+from . import linalg
 from .errors import ArityError, InputError
 from .moyal import StarProduct, verify_dq_axioms
 from .poisson import PoissonBivector, SymplecticForm, form_from_bivector
@@ -162,45 +163,34 @@ def check_symplecto(m: SymplectoMap, form: SymplecticForm) -> Report:
         raise ArityError(
             f"form dimension {form.dim} does not match map dimension {m.dim}")
     rep = Report("symplectomorphism check")
-    dim = m.dim
     for name, ok, detail in _round_trips(m):
         rep.add(name, ok, detail)
 
-    jac = m.jacobian()
-    theta = form.matrix
-    bad = []
-    for c in range(dim):
-        for d in range(dim):
-            entry = SparsePoly.zero(dim)
-            for a in range(dim):
-                for b in range(dim):
-                    if theta[a][b].is_zero():
-                        continue
-                    entry = entry + (jac[a][c] * jac[b][d]).scale(theta[a][b])
-            entry = entry - SparsePoly.const(dim, theta[c][d])
-            if not entry.is_zero():
-                bad.append(f"({c + 1},{d + 1}): {entry}")
+    residual = linalg.congruence_residual(linalg.transpose(m.jacobian()),
+                                          form.matrix)
+    bad = [f"({c + 1},{d + 1}): {entry}"
+           for c, row in enumerate(residual) for d, entry in enumerate(row)
+           if not entry.is_zero()]
     rep.add("Jacobian conjugates the form to itself", not bad,
             "" if not bad else "residual entries " + "; ".join(bad))
     return rep
 
 
-def psi_map(m: SymplectoMap, F: HbarSeries) -> HbarSeries:
-    """Compose every coefficient with the inverse map."""
+def _compose_coeffs(m: SymplectoMap, F: HbarSeries, gs) -> HbarSeries:
     if F.arity != m.dim:
         raise ArityError(f"series arity {F.arity} does not match map "
                          f"dimension {m.dim}")
-    inv = list(m.inverse)
-    return F.map_coeffs(lambda p: p.subst(inv))
+    return F.map_coeffs(lambda p: p.subst(gs))
+
+
+def psi_map(m: SymplectoMap, F: HbarSeries) -> HbarSeries:
+    """Compose every coefficient with the inverse map."""
+    return _compose_coeffs(m, F, list(m.inverse))
 
 
 def psi_inverse(m: SymplectoMap, F: HbarSeries) -> HbarSeries:
     """Compose every coefficient with the forward map."""
-    if F.arity != m.dim:
-        raise ArityError(f"series arity {F.arity} does not match map "
-                         f"dimension {m.dim}")
-    fwd = list(m.forward)
-    return F.map_coeffs(lambda p: p.subst(fwd))
+    return _compose_coeffs(m, F, list(m.forward))
 
 
 def pullback_bracket(m: SymplectoMap, bivector: PoissonBivector,

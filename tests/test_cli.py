@@ -11,6 +11,7 @@ import starkit
 from starkit import cli
 from starkit.cli import main
 from starkit.corpus import CORPUS_VERSION
+from starkit.parsing import MAX_NESTING
 
 from conftest import fixture_path
 
@@ -175,6 +176,10 @@ OVER = str(cli.MAX_ORDER + 1)
 ORDER_OVER = f"--order {OVER} is over the limit of {cli.MAX_ORDER}"
 
 
+def nested(levels: int) -> str:
+    return "(" * levels + "z1" + ")" * levels
+
+
 @pytest.mark.parametrize("argv, message", [
     (["star", "--order", OVER, "z1", "z2"], ORDER_OVER),
     (["verify-dq", "--count", "1", "--order", OVER], ORDER_OVER),
@@ -195,11 +200,33 @@ ORDER_OVER = f"--order {OVER} is over the limit of {cli.MAX_ORDER}"
      f"of {cli.MAX_SYMMETRIZE_COPIES}"),
     (["bracket", "--form", fixture_path("form_dim17.json"), "z1", "z2"],
      f"form dimension 17 is over the limit of {cli.MAX_FORM_DIM}"),
+    (["verify-dq", "--count", str(cli.MAX_COUNT + 1)],
+     f"--count {cli.MAX_COUNT + 1} is over the limit of {cli.MAX_COUNT}"),
+    (["patch-check", "--surface", fixture_path("square.json"),
+      "--count", "10000000"],
+     f"--count 10000000 is over the limit of {cli.MAX_COUNT}"),
+    (["verify-transport", "--map", fixture_path("shear_map.json"),
+      "--count", str(cli.MAX_COUNT + 1)],
+     f"--count {cli.MAX_COUNT + 1} is over the limit of {cli.MAX_COUNT}"),
+    # the parser's recursion stops at its nesting limit, not the
+    # interpreter's
+    (["star", nested(MAX_NESTING + 1), "z2"],
+     f"syntax error at column {MAX_NESTING + 1}: parentheses nested "
+     f"deeper than {MAX_NESTING} levels"),
+    (["star", nested(200), "z2"],
+     f"syntax error at column {MAX_NESTING + 1}: parentheses nested "
+     f"deeper than {MAX_NESTING} levels"),
 ])
 def test_oversized_request_is_exit_2(capsys, argv, message):
     # refused before any series, product space or permutation is built
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_nesting_at_the_limit_parses(capsys):
+    code, out, err = run(capsys, "star", "--order", "2", nested(MAX_NESTING),
+                         "z2")
+    assert (code, out, err) == (0, "z1*z2 - 1/2*i*h\n", "")
 
 
 @pytest.mark.parametrize("argv, data, message", [

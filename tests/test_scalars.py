@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -47,6 +48,31 @@ def test_kernel_round_trip(a):
 def test_division_inverts_multiplication(a):
     assert a / a == ExactComplex(1)
     assert ExactComplex(1) / a * a == ExactComplex(1)
+
+
+@given(complexes, complexes.filter(lambda c: not c.is_zero()))
+def test_division_matches_fractions(a, b):
+    n = b.re * b.re + b.im * b.im
+    q = a / b
+    assert q.re == (a.re * b.re + a.im * b.im) / n
+    assert q.im == (a.im * b.re - a.re * b.im) / n
+
+
+@given(complexes, complexes)
+def test_to_kernel_is_normalized(a, b):
+    for c in (a, b, a + b, a - b, a * b, -a, a.conj()):
+        rn, rd, jn, jd = c.to_kernel()
+        for num, den in ((rn, rd), (jn, jd)):
+            assert den > 0 and gcd(num, den) == 1
+            if num == 0:
+                assert den == 1
+        assert (Fraction(rn, rd), Fraction(jn, jd)) == (c.re, c.im)
+
+
+def test_float_argument_is_refused():
+    for args in ((0.1,), (1, 0.5), (0.0, 0)):
+        with pytest.raises(InputError, match="float"):
+            ExactComplex(*args)
 
 
 def test_division_by_zero():

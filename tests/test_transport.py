@@ -75,6 +75,17 @@ def test_check_symplecto_rejects_scaling_with_residual():
     assert "(1,2): -1" in bad[0].detail and "(2,1): 1" in bad[0].detail
 
 
+def test_check_symplecto_dim4_residual_detail_is_row_major():
+    # a base-to-base shear across the two blocks: both round trips hold,
+    # and the congruence misses in exactly the (1,4)/(4,1) pair
+    m = make_map(["z1", "z2", "z3 + z1^2", "z4"],
+                 ["z1", "z2", "z3 - z1^2", "z4"], 2, dim=4)
+    rep = transport.check_symplecto(m, SymplecticForm.standard(2))
+    assert [(e.name, e.detail) for e in rep.failures()] == [
+        ("Jacobian conjugates the form to itself",
+         "residual entries (1,4): -2*z1; (4,1): 2*z1")]
+
+
 def test_round_trip_failure_is_reported_per_coordinate():
     m = make_map(["z1", "z2 + z1^2"], ["z1", "z2 + z1^2"], 2)
     rep = transport.check_symplecto(m, FORM)

@@ -107,10 +107,13 @@ class PolygonGluing:
         }
 
 
+_IDENTITY = linalg.identity(2)
+
+
 class ChartMap:
     """Affine chart change on (zeta, lambda), stored as v -> A v + s."""
 
-    __slots__ = ("matrix", "shift")
+    __slots__ = ("matrix", "shift", "_shift_k", "_translation", "_inverse")
 
     def __init__(self, matrix, shift):
         mat = linalg.as_matrix(matrix)
@@ -121,6 +124,9 @@ class ChartMap:
             raise InputError("chart map shift must have length 2")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "shift", sh)
+        object.__setattr__(self, "_shift_k", tuple(x.to_kernel() for x in sh))
+        object.__setattr__(self, "_translation", mat == _IDENTITY)
+        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChartMap is immutable")
@@ -128,18 +134,24 @@ class ChartMap:
     @classmethod
     def translation(cls, c) -> "ChartMap":
         """The chart change (zeta, lambda) -> (zeta + c, lambda)."""
-        return cls(linalg.identity(2), (ExactComplex.coerce(c), ExactComplex(0)))
+        return cls(_IDENTITY, (ExactComplex.coerce(c), ExactComplex(0)))
 
     def inverse(self) -> "ChartMap":
-        """v -> A^-1 v - A^-1 s, with A^-1 the adjugate over det A."""
-        (a, b), (c, d) = self.matrix
-        det = a * d - b * c
-        if det.is_zero():
-            raise InputError("matrix is singular")
-        r = 1 / det
-        inv = ((d * r, -b * r), (-c * r, a * r))
-        s = linalg.mat_vec(inv, self.shift)
-        return ChartMap(inv, tuple(-x for x in s))
+        """v -> A^-1 v - A^-1 s, with A^-1 the adjugate over det A.
+
+        Computed on the first call and kept on the map.
+        """
+        if self._inverse is None:
+            (a, b), (c, d) = self.matrix
+            det = a * d - b * c
+            if det.is_zero():
+                raise InputError("matrix is singular")
+            r = 1 / det
+            inv = ((d * r, -b * r), (-c * r, a * r))
+            s = linalg.mat_vec(inv, self.shift)
+            object.__setattr__(self, "_inverse",
+                               ChartMap(inv, tuple(-x for x in s)))
+        return self._inverse
 
     def compose(self, other: "ChartMap") -> "ChartMap":
         """self after other: v -> self(other(v))."""
@@ -148,14 +160,15 @@ class ChartMap:
         return ChartMap(mat, tuple(x + y for x, y in zip(s, self.shift)))
 
     def is_identity(self) -> bool:
-        return (self.matrix == linalg.identity(2)
-                and all(x.is_zero() for x in self.shift))
+        return self._translation and all(x.is_zero() for x in self.shift)
 
     def pull(self, f: SparsePoly) -> SparsePoly:
-        """Compose with the map: f(A v + s)."""
+        """Compose with the map: f(A v + s); a translation is a Taylor shift."""
         if f.arity != 2:
             raise ArityError("chart functions have arity 2")
-        return f.affine_subst(self.matrix, list(self.shift))
+        if self._translation:
+            return f._translate(self._shift_k)
+        return f.affine_subst(self.matrix, self.shift)
 
     def symplectic_residual(self, form: SymplecticForm):
         """A^T Theta A - Theta; zero exactly when the map preserves the form."""

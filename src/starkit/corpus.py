@@ -33,7 +33,8 @@ def _rational(rng: random.Random, zero_ok: bool = True) -> Fraction:
 
 def _scalar(rng: random.Random, zero_ok: bool = False) -> ExactComplex:
     while True:
-        value = ExactComplex(_rational(rng), _rational(rng))
+        value = ExactComplex.from_kernel(_rational(rng).as_integer_ratio()
+                                         + _rational(rng).as_integer_ratio())
         if zero_ok or not value.is_zero():
             return value
 

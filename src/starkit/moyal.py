@@ -181,20 +181,12 @@ class StarProduct:
             linalg.congruence_residual(S, self.bivector.matrix))
 
 
-def translate_poly(f: SparsePoly, shift) -> SparsePoly:
-    """f shifted by a constant vector: z -> z + shift."""
-    if len(shift) != f.arity:
-        raise ArityError(f"shift must have length {f.arity}")
-    return f.affine_subst(linalg.identity(f.arity), list(shift))
-
-
 def translation_equivariance_check(star: StarProduct, f, g, shift,
                                    order: int) -> Report:
     """Translating the inputs commutes with the product, exactly."""
     rep = Report("translation equivariance")
-    lhs = star.star(translate_poly(f, shift), translate_poly(g, shift), order)
-    rhs = star.star(f, g, order).map_coeffs(
-        lambda p: translate_poly(p, shift))
+    lhs = star.star(f.translate(shift), g.translate(shift), order)
+    rhs = star.star(f, g, order).map_coeffs(lambda p: p.translate(shift))
     rep.add("translate-then-star equals star-then-translate", lhs == rhs,
             "" if lhs == rhs else f"difference {lhs - rhs}")
     return rep

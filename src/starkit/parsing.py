@@ -34,6 +34,9 @@ from .series import HbarSeries
 # parentheses recurse through five methods per level; deeper text is
 # refused before it can exhaust the interpreter's recursion limit
 MAX_NESTING = 100
+# "^k" is refused when it would raise the degree past this, before the
+# power is expanded; it bounds degree, not the term count in many variables
+MAX_DEGREE = 64
 
 _TOKEN_RE = _re.compile(r"\s*(?:(\d+)|([zqp]\d+)|([ih])|([-+*/^()])|(.))")
 
@@ -142,7 +145,12 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be an integer literal", col)
             self.take()
-            value = value ** int(text)
+            k = int(text)
+            degree = value.degree() * k
+            if degree > MAX_DEGREE:
+                raise ParseError(f"degree {degree} is over the limit of "
+                                 f"{MAX_DEGREE}", col)
+            value = value ** k
         return value
 
     def atom(self) -> SparsePoly:

@@ -14,6 +14,7 @@ z1 > z2 > ... > zm, highest terms first.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Mapping, Sequence
 
 from . import _kernel as K
@@ -23,6 +24,19 @@ from .scalars import ExactComplex
 
 def grlex_key(exps):
     return (sum(exps), exps)
+
+
+def _binomial_weights(c, k: int) -> list:
+    """[C(k, i) c^(k-i) for i in 0..k] as kernel coefficients."""
+    powers = [K.CONE]
+    for _ in range(k):
+        powers.append(K.cmul(powers[-1], c))
+    row = []
+    for i in range(k + 1):
+        rn, rd, jn, jd = powers[k - i]
+        b = comb(k, i)
+        row.append(K.qnorm(rn * b, rd) + K.qnorm(jn * b, jd))
+    return row
 
 
 def _coerce_coeff(value):
@@ -213,32 +227,67 @@ class SparsePoly:
             acc = K.madd(acc, term)
         return SparsePoly._from_raw(new_arity, acc)
 
+    def translate(self, shift) -> "SparsePoly":
+        """f(z + shift), expanded exactly by the binomial theorem."""
+        if len(shift) != self.arity:
+            raise ArityError(f"shift must have length {self.arity}")
+        return self._translate([_coerce_coeff(c) for c in shift])
+
+    def _translate(self, shift) -> "SparsePoly":
+        """translate() on a shift already given as kernel coefficients.
+
+        One pass per nonzero component j sends a z_j^k to
+        sum_i C(k, i) c^(k-i) a z_j^i; the weights C(k, i) c^(k-i) are
+        built once per pass and degree, and cancelled terms are dropped.
+        """
+        terms = self._terms
+        for j, c in enumerate(shift):
+            if (c[0] == 0 and c[2] == 0) or not terms:
+                continue
+            weights: dict = {}
+            out: dict = {}
+            for exps, a in terms.items():
+                k = exps[j]
+                row = weights.get(k)
+                if row is None:
+                    row = weights[k] = _binomial_weights(c, k)
+                head, tail = exps[:j], exps[j + 1:]
+                for i, w in enumerate(row):
+                    e = head + (i,) + tail
+                    p = K.cmul(a, w) if i < k else a
+                    old = out.get(e)
+                    out[e] = p if old is None else K.cadd(old, p)
+            terms = {e: a for e, a in out.items() if a[0] != 0 or a[2] != 0}
+        if terms is self._terms:
+            return self
+        return SparsePoly._from_raw(self.arity, terms)
+
     def affine_subst(self, matrix, shift=None) -> "SparsePoly":
         """Compose with the affine map v -> A v + c, expanded exactly.
 
         matrix is arity x arity over ExactComplex (row-major nested
         sequence); shift is a length-arity vector, defaulting to zero.
+        f(A v + c) is g(A v) for g = f translated by c, so the shift is a
+        Taylor shift and only the linear part goes through subst.
         """
         m = self.arity
         if len(matrix) != m or any(len(row) != m for row in matrix):
             raise ArityError(f"affine matrix must be {m}x{m}")
-        if shift is None:
-            shift = [ExactComplex(0)] * m
-        if len(shift) != m:
+        if shift is not None and len(shift) != m:
             raise ArityError(f"affine shift must have length {m}")
+        out = self if shift is None else self.translate(shift)
+        rows = [[_coerce_coeff(x) for x in row] for row in matrix]
+        if all(rows[j][k] == (K.CONE if j == k else K.CZERO)
+               for j in range(m) for k in range(m)):
+            return out
         gs = []
-        for j in range(m):
-            raw: dict = {}
-            for k in range(m):
-                c = _coerce_coeff(matrix[j][k])
+        for row in rows:
+            raw = {}
+            for k, c in enumerate(row):
                 if c[0] != 0 or c[2] != 0:
-                    exps = tuple(1 if t == k else 0 for t in range(m))
-                    raw[exps] = c
-            c0 = _coerce_coeff(shift[j])
-            if c0[0] != 0 or c0[2] != 0:
-                raw[(0,) * m] = K.cadd(raw.get((0,) * m, K.CZERO), c0)
+                    raw[tuple(1 if t == k else 0 for t in range(m))] = c
             gs.append(SparsePoly._from_raw(m, raw))
-        return self.subst(gs)
+        return out.subst(gs)
 
     def eval_at(self, point: Sequence) -> ExactComplex:
         """Evaluate at a point of exact complex coordinates."""

@@ -35,18 +35,23 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _ratio(part) -> tuple:
+    """One part as a normalized (numerator, denominator) pair."""
+    if type(part) is int:
+        return part, 1
+    if isinstance(part, float):
+        raise InputError(f"float {part!r} not allowed; use an exact "
+                         f"rational like 1/2")
+    return Fraction(part).as_integer_ratio()
+
+
 class ExactComplex:
     """Immutable exact complex number with rational real and imaginary parts."""
 
     __slots__ = ("_c",)
 
     def __init__(self, re=0, im=0):
-        for part in (re, im):
-            if isinstance(part, float):
-                raise InputError(f"float {part!r} not allowed; use an exact "
-                                 f"rational like 1/2")
-        object.__setattr__(self, "_c", Fraction(re).as_integer_ratio()
-                           + Fraction(im).as_integer_ratio())
+        object.__setattr__(self, "_c", _ratio(re) + _ratio(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")

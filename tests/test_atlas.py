@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from starkit import atlas
+from starkit import atlas, linalg
 from starkit.corpus import random_poly_pairs
 from starkit.errors import InputError
 from starkit.poly import SparsePoly
@@ -151,6 +151,22 @@ def test_non_translation_chart_map_inverse():
     assert m.pull(inv.pull(f)) == f
 
 
+def test_chart_map_inverse_is_kept():
+    shear = atlas.ChartMap([[1, c2(Fraction(2, 3), 1)], [0, 1]],
+                           [c2(-1, 2), c2(Fraction(1, 5))])
+    inv = shear.inverse()
+    assert shear.inverse() is inv
+    # the adjugate of [[1, b], [0, 1]] is [[1, -b], [0, 1]]
+    b = shear.matrix[0][1]
+    want = atlas.ChartMap([[1, -b], [0, 1]], [-x for x in linalg.mat_vec(
+        ((1, -b), (0, 1)), shear.shift)])
+    assert inv == want
+    assert shear.compose(inv).is_identity()
+    t = atlas.ChartMap.translation(c2(3, 1))
+    assert t.inverse() is t.inverse()
+    assert t.inverse() == atlas.ChartMap.translation(c2(-3, -1))
+
+
 def test_singular_chart_map_has_no_inverse():
     m = atlas.ChartMap([[c2(1, 1), c2(2)], [c2(1), c2(1, -1)]], [0, 0])
     with pytest.raises(InputError, match="matrix is singular"):
@@ -167,7 +183,6 @@ def test_cotangent_transition_moves_base_only():
 
 
 def test_chart_map_symplectic_residual():
-    from starkit import linalg
     form = atlas.chart_form()
     good = atlas.ChartMap.translation(c2(2, 3))
     assert linalg.is_zero_matrix(good.symplectic_residual(form))

@@ -11,7 +11,7 @@ import starkit
 from starkit import cli
 from starkit.cli import main
 from starkit.corpus import CORPUS_VERSION
-from starkit.parsing import MAX_NESTING
+from starkit.parsing import MAX_DEGREE, MAX_NESTING
 
 from conftest import fixture_path
 
@@ -216,11 +216,27 @@ def nested(levels: int) -> str:
     (["star", nested(200), "z2"],
      f"syntax error at column {MAX_NESTING + 1}: parentheses nested "
      f"deeper than {MAX_NESTING} levels"),
+    # "^" is refused by the degree it would reach, before expanding
+    (["bracket", f"z1^{MAX_DEGREE + 1}", "z2"],
+     f"syntax error at column 4: degree {MAX_DEGREE + 1} is over the "
+     f"limit of {MAX_DEGREE}"),
+    (["bracket", "(z1+z2+1)^120", "z1"],
+     f"syntax error at column 11: degree 120 is over the limit of "
+     f"{MAX_DEGREE}"),
+    (["star", "z1^99999999", "z2"],
+     f"syntax error at column 4: degree 99999999 is over the limit of "
+     f"{MAX_DEGREE}"),
 ])
 def test_oversized_request_is_exit_2(capsys, argv, message):
     # refused before any series, product space or permutation is built
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_degree_at_the_limit_parses(capsys):
+    code, out, err = run(capsys, "bracket", f"z1^{MAX_DEGREE}", "z2")
+    assert (code, out, err) == (0, f"-{MAX_DEGREE}*z1^{MAX_DEGREE - 1}\n",
+                                "")
 
 
 def test_nesting_at_the_limit_parses(capsys):

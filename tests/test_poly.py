@@ -5,9 +5,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starkit.corpus import random_poly
+from starkit.corpus import random_poly, random_translations
 from starkit.errors import ArityError
 from starkit.poly import SparsePoly, grlex_key
+from starkit.scalars import ExactComplex
 
 from oracles import poly_to_sympy, symbols_for
 
@@ -103,6 +104,60 @@ def test_affine_subst_matches_manual():
     got = f.affine_subst([[1, 1], [0, 1]], [2, 0])
     want = (v(1) + v(2) + c(2)) * v(2)
     assert got == want
+
+
+def _shifted_variables(shift):
+    m = len(shift)
+    return [SparsePoly.variable(m, j + 1) + SparsePoly.const(m, x)
+            for j, x in enumerate(shift)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), seeds, st.integers(0, 4))
+def test_translate_matches_substitution(arity, s, zeroed):
+    # zeroed picks one shift component to set to zero (none when past
+    # the last), so the one-pass-per-nonzero-component skip is covered
+    f = random_poly(arity, 5, s)
+    shift = list(random_translations(arity, 1, s)[0])
+    if zeroed < arity:
+        shift[zeroed] = ExactComplex(0)
+    assert f.translate(shift) == f.subst(_shifted_variables(shift))
+
+
+@pytest.mark.parametrize("shift", [
+    (ExactComplex(Fraction(2, 3), -1), ExactComplex(0)),
+    (ExactComplex(0), ExactComplex(-1, Fraction(1, 2))),
+    (ExactComplex(3), ExactComplex(0, 1)),
+])
+def test_translate_drops_cancelled_terms(shift):
+    # (z - c)^3 translated by c is z^3 exactly, stored as a single term
+    back = [-x for x in shift]
+    f = SparsePoly.const(2, 1)
+    for z in _shifted_variables(back):
+        f = f * z ** 3
+    got = f.translate(shift)
+    assert got == v(1) ** 3 * v(2) ** 3
+    assert len(got) == 1
+    assert all(not x.is_zero() for _, x in got.terms())
+
+
+def test_translate_needs_one_shift_per_variable():
+    with pytest.raises(ArityError, match="shift must have length 2"):
+        v(1).translate([1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds)
+def test_affine_subst_with_matrix_and_shift_matches_substitution(s):
+    # f(A v + c) with a non-identity A and a nonzero c: the shift goes
+    # inside the linear part, not after it
+    f = random_poly(2, 4, s)
+    matrix = [[ExactComplex(1, 1), ExactComplex(Fraction(1, 2))],
+              [ExactComplex(-2), ExactComplex(0, Fraction(-1, 3))]]
+    shift = [ExactComplex(Fraction(3, 2), -1), ExactComplex(0, 2)]
+    gs = [v(1).scale(row[0]) + v(2).scale(row[1]) + SparsePoly.const(2, x)
+          for row, x in zip(matrix, shift)]
+    assert f.affine_subst(matrix, shift) == f.subst(gs)
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,11 +11,26 @@ Coefficients are kept normalized at all times: denominators positive and
 coprime to their numerators, zero parts stored as (0, 1).  Zero coefficients
 are never stored in a map; the zero polynomial is the empty dict.
 
+A packed map is the integer form of a term map that one computation
+works in from start to end, normalizing nothing until it lowers the
+result:
+
+    packed = dict[key, (a, b)]             t[e] = (a + b*i) / D
+    key    = sum of e[j] << (width * j)    one bit field per variable
+
+``lift`` picks D as the least common multiple of the map's denominators;
+every Gaussian-integer numerator (a, b) shares it.  A product adds keys,
+so the caller chooses ``width`` with 2^width above every exponent sum
+the computation can form, and no field carries into the next.  A
+derivative multiplies numerators by the exponent and keeps D; ``lower``
+divides by a denominator the caller tracks, with one ``qnorm`` per part,
+and drops the terms that cancelled.
+
 Callers reach these functions as attributes of this module (``K.mmul``),
 so a tracer that rebinds an attribute sees every call from outside.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 CZERO = (0, 1, 0, 1)
 CONE = (1, 1, 0, 1)
@@ -155,3 +170,65 @@ def mdiff(t, var):
         jn, jd = qnorm(c[2] * k, c[3])
         out[e2] = (rn, rd, jn, jd)
     return out
+
+
+def lift(t, width):
+    """t as (packed map, D): numerators over the lcm D of t's denominators,
+    exponents packed width bits per variable."""
+    den = lcm(*{d for c in t.values() for d in (c[1], c[3])})
+    out = {}
+    for e, (rn, rd, jn, jd) in t.items():
+        key = 0
+        for k in reversed(e):
+            key = key << width | k
+        out[key] = (rn * (den // rd), jn * (den // jd))
+    return out, den
+
+
+def lower(p, den, arity, width):
+    """The normalized term map of p / den; zero terms are dropped."""
+    mask = (1 << width) - 1
+    out = {}
+    for key, (a, b) in p.items():
+        if a or b:
+            e = []
+            for _ in range(arity):
+                e.append(key & mask)
+                key >>= width
+            out[tuple(e)] = qnorm(a, den) + qnorm(b, den)
+    return out
+
+
+def pdiff(p, var, width):
+    """Packed partial derivative in variable var (0-based), over the same
+    denominator."""
+    shift = var * width
+    mask = (1 << width) - 1
+    one = 1 << shift
+    out = {}
+    for key, (a, b) in p.items():
+        k = key >> shift & mask
+        if k:
+            out[key - one] = (a * k, b * k)
+    return out
+
+
+def paddmul(acc, p1, p2, wr, wi):
+    """acc += (wr + wi*i) * p1 * p2 on packed maps, mutating acc in place;
+    the denominators multiply and are the caller's to track. Returns acc."""
+    if len(p1) > len(p2):
+        p1, p2 = p2, p1
+    get = acc.get
+    for k1, (x, y) in p1.items():
+        xr = wr * x - wi * y
+        xi = wr * y + wi * x
+        for k2, (u, v) in p2.items():
+            key = k1 + k2
+            r = xr * u - xi * v
+            i = xr * v + xi * u
+            old = get(key)
+            if old is None:
+                acc[key] = (r, i)
+            else:
+                acc[key] = (old[0] + r, old[1] + i)
+    return acc

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import _kernel as K
 from . import linalg
 from .multi import Permutation
 from .poly import SparsePoly
@@ -23,18 +24,18 @@ def _rng(tag: str, seed: int) -> random.Random:
     return random.Random(f"starkit:{CORPUS_VERSION}:{tag}:{seed}")
 
 
-def _rational(rng: random.Random, zero_ok: bool = True) -> Fraction:
+def _rational(rng: random.Random, zero_ok: bool = True) -> tuple:
+    """A drawn rational as a normalized kernel pair (num, den)."""
     num = rng.randint(-4, 4)
     if not zero_ok:
         while num == 0:
             num = rng.randint(-4, 4)
-    return Fraction(num, rng.randint(1, 3))
+    return K.qnorm(num, rng.randint(1, 3))
 
 
 def _scalar(rng: random.Random, zero_ok: bool = False) -> ExactComplex:
     while True:
-        value = ExactComplex.from_kernel(_rational(rng).as_integer_ratio()
-                                         + _rational(rng).as_integer_ratio())
+        value = ExactComplex.from_kernel(_rational(rng) + _rational(rng))
         if zero_ok or not value.is_zero():
             return value
 
@@ -83,10 +84,10 @@ def random_sl2_matrices(count: int, seed: int) -> list:
         for _ in range(rng.randint(2, 4)):
             kind = rng.randrange(3)
             if kind == 0:
-                a = _rational(rng, zero_ok=False)
+                a = Fraction(*_rational(rng, zero_ok=False))
                 factor = [[Fraction(1), a], [Fraction(0), Fraction(1)]]
             elif kind == 1:
-                b = _rational(rng, zero_ok=False)
+                b = Fraction(*_rational(rng, zero_ok=False))
                 factor = [[Fraction(1), Fraction(0)], [b, Fraction(1)]]
             else:
                 c = rng.choice([Fraction(2), Fraction(3), Fraction(1, 2),

@@ -18,16 +18,27 @@ All the B_k are evaluated together by one depth-first walk over the
 nonzero entries of pi, picked in nondecreasing index order so that each
 multiset of k entries is met once.  A multiset with multiplicities m_p
 stands for k! / prod(m_p!) ordered index tuples sharing one derivative
-pair, so its h^k weight is (i/2)^k prod(pi_p^m_p / m_p!): the walk
-multiplies by (i/2) pi_p / m each time it picks entry p for the m-th
-time.  Each step differentiates its parent's two derivatives once more,
-and a branch ends as soon as either is zero, since every further
-derivative of zero is zero.
+pair, so its h^k weight is prod(s_p^m_p) / prod(m_p!), where
+s_p = (i/2) pi_p is the step of entry p.  Each step differentiates its
+parent's two derivatives once more, and a branch ends as soon as either
+is zero, since every further derivative of zero is zero.
+
+The walk runs on integers (see ``starkit._kernel`` for packed maps).
+f and g are lifted once, to Gaussian-integer numerators over their
+denominators Df and Dg, with exponents packed into bit fields wide
+enough for the max exponent of f plus that of g.  The steps share one
+denominator Ds, set when the product is built.  A branch carries the
+product of its steps' numerators and the multinomial count
+k! / prod(m_p!), which picking entry p for the m-th time at depth k
+turns into count * (k + 1) // m, an exact division.  So every term of
+h^k sits over the one denominator Df Dg Ds^k k!, h^0 = f g is the
+depth-0 term, and each coefficient is normalized once, when the walk
+has finished.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, lcm
 
 from . import _kernel as K
 from . import linalg
@@ -46,7 +57,7 @@ class StarProduct:
     every truncation of polynomial inputs is exact regardless.
     """
 
-    __slots__ = ("bivector", "dim", "order", "_pairs")
+    __slots__ = ("bivector", "dim", "order", "_pairs", "_ds")
 
     def __init__(self, bivector: PoissonBivector, order: int = 8):
         if bivector.dim % 2 != 0:
@@ -56,12 +67,17 @@ class StarProduct:
         object.__setattr__(self, "bivector", bivector)
         object.__setattr__(self, "dim", bivector.dim)
         object.__setattr__(self, "order", order)
-        pairs = tuple(
-            ((a, b), bivector.matrix[a][b].to_kernel())
-            for a in range(bivector.dim)
-            for b in range(bivector.dim)
-            if not bivector.matrix[a][b].is_zero())
-        object.__setattr__(self, "_pairs", pairs)
+        # each nonzero entry as (a, b, step numerator) over one denominator
+        half_i = (0, 1, 1, 2)
+        entries = [(a, b, K.cmul(half_i, entry.to_kernel()))
+                   for a, row in enumerate(bivector.matrix)
+                   for b, entry in enumerate(row)
+                   if not entry.is_zero()]
+        ds = lcm(*{d for _, _, c in entries for d in (c[1], c[3])})
+        object.__setattr__(self, "_pairs", tuple(
+            (a, b, rn * (ds // rd), jn * (ds // jd))
+            for a, b, (rn, rd, jn, jd) in entries))
+        object.__setattr__(self, "_ds", ds)
 
     def __setattr__(self, name, value):
         raise AttributeError("StarProduct is immutable")
@@ -88,39 +104,47 @@ class StarProduct:
         self._check_arity(f, g)
         if k < 0:
             raise InputError("bidifferential order must be nonnegative")
-        if k == 0:
-            return f * g
         if k > f.degree() or k > g.degree():
             return SparsePoly.zero(self.dim)
         return SparsePoly._from_raw(self.dim, self._bidiff(k, f, g)[k]).scale(
             factorial(k) * ExactComplex(0, -2) ** k)
 
     def _bidiff(self, top: int, f: SparsePoly, g: SparsePoly) -> list:
-        """The h^k coefficients of f * g for k = 1..top as term maps,
+        """The h^k coefficients of f * g for k = 0..top as term maps,
         indexed by k; the walk described in the module docstring."""
         pairs = self._pairs
-        steps = [K.cmul((0, 1, 1, 2), c4) for _, c4 in pairs]
-        accs = [{} for _ in range(top + 1)]
-        # (depth, last entry picked, its multiplicity, weight, df, dg)
-        stack = [(0, 0, 0, K.CONE, f._terms, g._terms)]
+        width = (max(map(max, f._terms), default=0)
+                 + max(map(max, g._terms), default=0)).bit_length()
+        lf, df = K.lift(f._terms, width)
+        lg, dg = K.lift(g._terms, width)
+        accs = [K.paddmul({}, lf, lg, 1, 0)] + [{} for _ in range(top)]
+        # (depth, last entry picked, its multiplicity, weight numerator,
+        #  multinomial count, the two derivatives)
+        stack = [(0, 0, 0, 1, 0, 1, lf, lg)] if top else []
         while stack:
-            depth, last, mult, weight, df, dg = stack.pop()
+            depth, last, mult, wr, wi, cnt, da, db = stack.pop()
             children = []
             for p in range(last, len(pairs)):
-                (a, b), _ = pairs[p]
-                da = K.mdiff(df, a)
-                if not da:
+                a, b, sr, si = pairs[p]
+                da2 = K.pdiff(da, a, width)
+                if not da2:
                     continue
-                db = K.mdiff(dg, b)
-                if not db:
+                db2 = K.pdiff(db, b, width)
+                if not db2:
                     continue
                 m = mult + 1 if p == last else 1
-                w = K.cmul(weight, K.cmul(steps[p], (1, m, 0, 1)))
-                K.maddmul(accs[depth + 1], da, db, w)
+                nr, ni = wr * sr - wi * si, wr * si + wi * sr
+                c = cnt * (depth + 1) // m
+                K.paddmul(accs[depth + 1], da2, db2, nr * c, ni * c)
                 if depth + 1 < top:
-                    children.append((depth + 1, p, m, w, da, db))
+                    children.append((depth + 1, p, m, nr, ni, c, da2, db2))
             stack.extend(reversed(children))
-        return accs
+        den = df * dg
+        out = []
+        for k, acc in enumerate(accs):
+            out.append(K.lower(acc, den, self.dim, width))
+            den *= self._ds * (k + 1)
+        return out
 
     def coefficient(self, k: int, f: SparsePoly, g: SparsePoly) -> SparsePoly:
         """The h^k coefficient of f * g."""
@@ -139,11 +163,8 @@ class StarProduct:
         coeffs = [SparsePoly.zero(self.dim) for _ in range(order + 1)]
         top = min(order, f.degree(), g.degree())
         if top >= 0:
-            coeffs[0] = f * g
-        if top >= 1:
-            accs = self._bidiff(top, f, g)
-            for k in range(1, top + 1):
-                coeffs[k] = SparsePoly._from_raw(self.dim, accs[k])
+            for k, acc in enumerate(self._bidiff(top, f, g)):
+                coeffs[k] = SparsePoly._from_raw(self.dim, acc)
         return HbarSeries(coeffs)
 
     def star_series(self, F: HbarSeries, G: HbarSeries) -> HbarSeries:

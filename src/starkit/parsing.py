@@ -37,8 +37,20 @@ MAX_NESTING = 100
 # "^k" is refused when it would raise the degree past this, before the
 # power is expanded; it bounds degree, not the term count in many variables
 MAX_DEGREE = 64
+# coefficients are read and printed in decimal, and Python refuses int/str
+# conversions past 4300 digits: longer integer literals are refused before
+# int() reads them, and "^k" is refused when k times the bit length of the
+# base's largest coefficient part would pass the coefficient cap
+MAX_LITERAL_DIGITS = 1000
+MAX_COEFF_BITS = 10_000
 
 _TOKEN_RE = _re.compile(r"\s*(?:(\d+)|([zqp]\d+)|([ih])|([-+*/^()])|(.))")
+
+
+def _check_literal(digits: str, col: int) -> None:
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ParseError(f"integer literal of {len(digits)} digits is over "
+                         f"the limit of {MAX_LITERAL_DIGITS}", col)
 
 
 def _tokenize(text: str):
@@ -50,6 +62,7 @@ def _tokenize(text: str):
             break
         col = m.start(m.lastindex) + 1
         if m.group(1):
+            _check_literal(m.group(1), col)
             end = m.end(1)
             if end < len(text) and text[end] == ".":
                 raise ParseError(
@@ -57,6 +70,7 @@ def _tokenize(text: str):
                     "like 1/2", col)
             tokens.append(("int", m.group(1), col))
         elif m.group(2):
+            _check_literal(m.group(2)[1:], col)
             tokens.append(("name", m.group(2), col))
         elif m.group(3):
             tokens.append((m.group(3), m.group(3), col))
@@ -150,6 +164,11 @@ class _Parser:
             if degree > MAX_DEGREE:
                 raise ParseError(f"degree {degree} is over the limit of "
                                  f"{MAX_DEGREE}", col)
+            bits = k * max((x.bit_length() for c in value._terms.values()
+                            for x in c), default=0)
+            if bits > MAX_COEFF_BITS:
+                raise ParseError(f"coefficients of about {bits} bits are "
+                                 f"over the limit of {MAX_COEFF_BITS}", col)
             value = value ** k
         return value
 

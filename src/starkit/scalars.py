@@ -10,6 +10,7 @@ is exact and decidable; there is no floating-point mode.
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 
 from . import _kernel as K
@@ -26,13 +27,22 @@ def parse_rational(text: str) -> Fraction:
             raise InputError(
                 f"float literal {text!r} not allowed; use an exact rational like 1/2")
         raise InputError(f"not an exact rational literal: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:  # past the interpreter's int/str digit limit
+        raise InputError(f"rational literal of {len(s)} characters is too "
+                         f"long") from None
 
 
 def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past the interpreter's int/str digit limit
+        raise InputError(f"a coefficient has over "
+                         f"{sys.get_int_max_str_digits()} digits, too many "
+                         f"to print") from None
 
 
 def _ratio(part) -> tuple:

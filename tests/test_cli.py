@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -11,7 +12,8 @@ import starkit
 from starkit import cli
 from starkit.cli import main
 from starkit.corpus import CORPUS_VERSION
-from starkit.parsing import MAX_DEGREE, MAX_NESTING
+from starkit.parsing import (MAX_COEFF_BITS, MAX_DEGREE, MAX_LITERAL_DIGITS,
+                             MAX_NESTING)
 
 from conftest import fixture_path
 
@@ -226,6 +228,18 @@ def nested(levels: int) -> str:
     (["star", "z1^99999999", "z2"],
      f"syntax error at column 4: degree 99999999 is over the limit of "
      f"{MAX_DEGREE}"),
+    # coefficients stay below the interpreter's int/str digit limit: a
+    # constant power by its estimated size, a literal by its length, and
+    # a product of allowed powers when it is printed
+    (["bracket", "2^20000*z1", "z2"],
+     f"syntax error at column 3: coefficients of about 40000 bits are "
+     f"over the limit of {MAX_COEFF_BITS}"),
+    (["star", "z1^" + "9" * 5000, "z2"],
+     f"syntax error at column 4: integer literal of 5000 digits is over "
+     f"the limit of {MAX_LITERAL_DIGITS}"),
+    (["bracket", "2^4000*2^4000*2^4000*2^4000*z1", "z2"],
+     f"a coefficient has over {sys.get_int_max_str_digits()} digits, too "
+     f"many to print"),
 ])
 def test_oversized_request_is_exit_2(capsys, argv, message):
     # refused before any series, product space or permutation is built
@@ -268,6 +282,11 @@ def test_nesting_at_the_limit_parses(capsys):
      {"dim": 3, "degree_bound": 1, "forward": ["z1", "z2"],
       "inverse": ["z1", "z2"]},
      "map declares dim 3 but forward has 2 components"),
+    (["surface-ingest"],
+     {"edges": [["1" + "0" * 5000, "0"], ["0", "1"], ["-1", "0"],
+                ["0", "-1"]],
+      "pairing": [[0, 2], [1, 3]]},
+     "rational literal of 5001 characters is too long"),
 ])
 def test_malformed_map_or_pairing_is_exit_2(capsys, tmp_path, argv, data,
                                             message):
@@ -356,6 +375,37 @@ def test_json_star_payload(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["outputs"]["series"] == "z1*z2 - 1/2*i*h"
+
+
+# SHA-256 of whole --json reports on the star path; a change in any
+# printed coefficient or in the report's layout shows here
+PINNED_JSON = {
+    "star": (("star", "--order", "6", "h*z1^3 + 1/3*z2 - 5/7*i",
+              "z2^3 - 2/7*i*z1 + 3*h^2*z1*z2"),
+             "142826735cf429dcc89d1c3e2c1f079f"
+             "8d864354a72474cca34839db18b112e3"),
+    "product-star": (("product-star", "--n", "19", "q1^3*p1^3+q2*p19^2",
+                      "q1^3*p1^3+q19^3*p2"),
+                     "6224a6b9b4a9b049a9a81e4aa3e1750b"
+                     "a0e7c77c61e87916d7dcdeef8fb0d5f0"),
+    "verify-dq": (("verify-dq", "--seed", "11"),
+                  "5449b9e12c04c9c25fd8aeef5faa70ec"
+                  "ff8fbbfefabc4352e465a0a0ccac9aa4"),
+    "transport": (("transport", "--map", "tests/fixtures/shear_map.json",
+                   "z1^2*z2 + 1/3*z1", "z2^2 - 2/5*i*z1*z2"),
+                  "d678a5ef4658d49b4fa94e174c800556"
+                  "e27f7111d5ca25022c996ca097ece206"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_JSON))
+def test_json_output_is_pinned(capsys, monkeypatch, name):
+    argv, digest = PINNED_JSON[name]
+    # the report echoes the map path as given
+    monkeypatch.chdir(REPO_ROOT)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_identical_across_hash_seeds():

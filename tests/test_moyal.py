@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 import sympy
@@ -166,6 +166,66 @@ def test_walk_matches_reference_on_non_block_form():
     assert sympy.expand(got - ref_star(fs, gs, pi, syms, 4, h)) == 0
 
 
+# a rational form with no block structure: the bivector's entries, and
+# so the walk's steps, have denominators other than 2
+RATIONAL_FORM = SymplecticForm([
+    [0, 2, Fraction(1, 3), 1],
+    [-2, 0, 1, Fraction(-1, 5)],
+    [Fraction(-1, 3), -1, 0, Fraction(3, 7)],
+    [-1, Fraction(1, 5), Fraction(-3, 7), 0],
+])
+
+
+def small_polys(arity):
+    part = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+    coeff = st.builds(ExactComplex, part, part)
+    exps = st.tuples(*[st.integers(0, 2)] * arity)
+    return st.dictionaries(exps, coeff, min_size=1, max_size=3).map(
+        lambda terms: SparsePoly(arity, terms))
+
+
+def assert_normalized(series):
+    for coeff in series.coeffs:
+        for rn, rd, jn, jd in coeff._terms.values():
+            assert rn or jn
+            assert rd > 0 and jd > 0
+            assert gcd(rn, rd) == 1 and gcd(jn, jd) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_polys(4), small_polys(4))
+def test_integer_walk_matches_reference_with_rational_denominators(f, g):
+    s = StarProduct.from_form(RATIONAL_FORM)
+    assert s._ds != 2
+    got = s.star(f, g, 2)
+    assert_normalized(got)
+    syms = symbols_for(4)
+    h = sympy.Symbol("h")
+    want = ref_star(poly_to_sympy(f, syms), poly_to_sympy(g, syms),
+                    bivector_to_sympy(s.bivector), syms, 2, h)
+    assert sympy.expand(series_to_sympy(got, syms, h) - want) == 0
+
+
+@pytest.mark.parametrize("pairs", [1, 19])
+def test_packed_fields_hold_the_exponent_sums(pairs):
+    # exponents 64 and 65 in one variable: f alone fits 7-bit fields, the
+    # product's 129 needs 8; the last pair sits in the top fields
+    n = 2 * pairs
+    s = StarProduct.standard(pairs, 3)
+    z = [None] + [SparsePoly.variable(n, i) for i in range(1, n + 1)]
+    f = z[1] ** 64 * z[2] + z[n - 1] ** 64 * z[n]
+    g = z[1] ** 65 + z[n - 1] ** 65
+    got = s.star(f, g)
+    assert_normalized(got)
+    # g has no fiber variable, and f is linear in each, so B_k = 0 for k > 1
+    assert got == HbarSeries([f * g, s.bracket(f, g).scale(I / 2),
+                              SparsePoly.zero(n), SparsePoly.zero(n)])
+    if pairs == 1:
+        # both summands coincide: f = 2 z1^64 z2 and g = 2 z1^65
+        assert got[0] == (z[1] ** 129 * z[2]).scale(4)
+        assert got[1] == (z[1] ** 128).scale(I * 130)
+
+
 def test_deep_walk_closed_form():
     # z1^N * z2^N has one walk path of depth N, so a recursive walk would
     # overflow the stack; B_k = (-1)^k (N!/(N-k)!)^2 z1^(N-k) z2^(N-k)
@@ -202,6 +262,7 @@ def test_truncation_consistency():
     low = s.star(f, g, 2)
     high = s.star(f, g, 9)
     assert high.truncate(2) == low
+    assert high.truncate(0) == s.star(f, g, 0)
     # beyond min(deg f, deg g) every coefficient vanishes
     top = min(f.degree(), g.degree())
     assert all(high[k].is_zero() for k in range(top + 1, 10))

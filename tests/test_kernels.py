@@ -80,6 +80,21 @@ def test_mmul_commutes_and_has_no_zero_entries(t1, t2):
         assert c[1] > 0 and c[3] > 0
 
 
+@settings(max_examples=40)
+@given(term_maps, term_maps, st.integers(-5, 5), st.integers(-5, 5))
+def test_packed_kernels_agree_with_term_maps(t1, t2, wr, wi):
+    # exponents reach 3 in each map, so 3-bit fields hold every product
+    width = 3
+    p1, d1 = K.lift(t1, width)
+    p2, d2 = K.lift(t2, width)
+    assert K.lower(p1, d1, 2, width) == t1
+    for var in (0, 1):
+        assert K.lower(K.pdiff(p1, var, width), d1, 2, width) \
+            == K.mdiff(t1, var)
+    got = K.lower(K.paddmul({}, p1, p2, wr, wi), d1 * d2, 2, width)
+    assert got == K.mscale(K.mmul(t1, t2), (wr, 1, wi, 1))
+
+
 def _map_to_sympy(t, x, y):
     total = sympy.Integer(0)
     for (e1, e2), (rn, rd, jn, jd) in t.items():

@@ -1,7 +1,7 @@
 """Term-map kernels.
 
 These pure-Python functions are the hot inner loops of the whole package.
-A term map represents a sparse multivariate polynomial:
+A term map is how a sparse multivariate polynomial is stored:
 
     map  =  dict[exponents, coeff]
     exponents = tuple[int, ...]            one entry per variable
@@ -11,20 +11,19 @@ Coefficients are kept normalized at all times: denominators positive and
 coprime to their numerators, zero parts stored as (0, 1).  Zero coefficients
 are never stored in a map; the zero polynomial is the empty dict.
 
-A packed map is the integer form of a term map that one computation
-works in from start to end, normalizing nothing until it lowers the
-result:
+Sums and scaling work on term maps.  Every product and derivative works
+on packed maps, the integer form a computation keeps from start to end:
 
     packed = dict[key, (a, b)]             t[e] = (a + b*i) / D
     key    = sum of e[j] << (width * j)    one bit field per variable
 
-``lift`` picks D as the least common multiple of the map's denominators;
-every Gaussian-integer numerator (a, b) shares it.  A product adds keys,
-so the caller chooses ``width`` with 2^width above every exponent sum
-the computation can form, and no field carries into the next.  A
-derivative multiplies numerators by the exponent and keeps D; ``lower``
-divides by a denominator the caller tracks, with one ``qnorm`` per part,
-and drops the terms that cancelled.
+``lift`` puts each map's Gaussian-integer numerators over the lcm D of
+its denominators, and owns the width rule: 2^width exceeds the sum of
+the maps' largest exponents, so a product, which adds keys, never
+carries one field into the next.  ``maddmul`` is the one loop over pairs
+of terms, ``mdiff`` multiplies numerators by the exponent and keeps D,
+and ``lower`` divides by the denominator the caller tracked, with one
+``qnorm`` per part, dropping cancelled terms.  ``mmul`` is the three.
 
 Callers reach these functions as attributes of this module (``K.mmul``),
 so a tracer that rebinds an attribute sees every call from outside.
@@ -118,71 +117,23 @@ def mscale(t, c):
     return out
 
 
-def mmul(t1, t2):
-    if not t1 or not t2:
-        return {}
-    if len(t1) > len(t2):
-        t1, t2 = t2, t1
-    out = {}
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            e = tuple(map(int.__add__, e1, e2))
-            p = cmul(c1, c2)
-            old = out.get(e)
-            if old is not None:
-                p = cadd(old, p)
-            out[e] = p
-    return {e: c for e, c in out.items() if c[0] != 0 or c[2] != 0}
-
-
-def maddmul(acc, t1, t2, c):
-    """acc += c * t1 * t2, mutating acc in place. Returns acc."""
-    if not t1 or not t2 or (c[0] == 0 and c[2] == 0):
-        return acc
-    if len(t1) > len(t2):
-        t1, t2 = t2, t1
-    for e1, c1 in t1.items():
-        cc = cmul(c1, c)
-        for e2, c2 in t2.items():
-            e = tuple(map(int.__add__, e1, e2))
-            p = cmul(cc, c2)
-            old = acc.get(e)
-            if old is None:
-                acc[e] = p
-            else:
-                s = cadd(old, p)
-                if s[0] == 0 and s[2] == 0:
-                    del acc[e]
-                else:
-                    acc[e] = s
-    return acc
-
-
-def mdiff(t, var):
-    """Partial derivative with respect to variable index var (0-based)."""
-    out = {}
-    for e, c in t.items():
-        k = e[var]
-        if k == 0:
-            continue
-        e2 = e[:var] + (k - 1,) + e[var + 1:]
-        rn, rd = qnorm(c[0] * k, c[1])
-        jn, jd = qnorm(c[2] * k, c[3])
-        out[e2] = (rn, rd, jn, jd)
-    return out
-
-
-def lift(t, width):
-    """t as (packed map, D): numerators over the lcm D of t's denominators,
-    exponents packed width bits per variable."""
-    den = lcm(*{d for c in t.values() for d in (c[1], c[3])})
-    out = {}
-    for e, (rn, rd, jn, jd) in t.items():
-        key = 0
-        for k in reversed(e):
-            key = key << width | k
-        out[key] = (rn * (den // rd), jn * (den // jd))
-    return out, den
+def lift(*maps):
+    """(packed maps, product of their denominators, width), the width
+    being the bit length of the sum of each map's largest exponent."""
+    width = sum(max(map(max, t), default=0) for t in maps).bit_length()
+    packed = []
+    den = 1
+    for t in maps:
+        d = lcm(*{x for c in t.values() for x in (c[1], c[3])})
+        out = {}
+        for e, (rn, rd, jn, jd) in t.items():
+            key = 0
+            for k in reversed(e):
+                key = key << width | k
+            out[key] = (rn * (d // rd), jn * (d // jd))
+        packed.append(out)
+        den *= d
+    return packed, den, width
 
 
 def lower(p, den, arity, width):
@@ -199,7 +150,7 @@ def lower(p, den, arity, width):
     return out
 
 
-def pdiff(p, var, width):
+def mdiff(p, var, width):
     """Packed partial derivative in variable var (0-based), over the same
     denominator."""
     shift = var * width
@@ -213,7 +164,7 @@ def pdiff(p, var, width):
     return out
 
 
-def paddmul(acc, p1, p2, wr, wi):
+def maddmul(acc, p1, p2, wr, wi):
     """acc += (wr + wi*i) * p1 * p2 on packed maps, mutating acc in place;
     the denominators multiply and are the caller's to track. Returns acc."""
     if len(p1) > len(p2):
@@ -232,3 +183,11 @@ def paddmul(acc, p1, p2, wr, wi):
             else:
                 acc[key] = (old[0] + r, old[1] + i)
     return acc
+
+
+def mmul(t1, t2):
+    """The normalized term map of t1 * t2."""
+    if not t1 or not t2:
+        return {}
+    (p1, p2), den, width = lift(t1, t2)
+    return lower(maddmul({}, p1, p2, 1, 0), den, len(next(iter(t1))), width)

@@ -25,12 +25,11 @@ quantization is the Moyal product in those coordinates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import ArityError, InputError
+from .errors import ArityError, InputError, load_json
 from .moyal import StarProduct
 from .poisson import SymplecticForm
 from .poly import SparsePoly
@@ -97,8 +96,7 @@ class PolygonGluing:
 
     @classmethod
     def from_file(cls, path) -> "PolygonGluing":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))
 
     def to_json(self) -> dict:
         return {

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import atlas, corpus, multi, transport
-from .errors import InputError, StarkitError
+from .errors import InputError, StarkitError, load_json
 from .moyal import StarProduct, verify_star_axioms
 from .parsing import parse_expr, parse_poly, parse_scalar, poly_to_str, series_to_str
 from .poisson import SymplecticForm, bivector_from_form
@@ -37,8 +37,7 @@ MAX_FORM_DIM = 16
 def _load_form(name: str) -> SymplecticForm:
     if name in _BUILTIN_FORMS:
         return SymplecticForm.standard(_BUILTIN_FORMS[name])
-    with open(name, "r", encoding="utf-8") as fh:
-        rows = json.load(fh)
+    rows = load_json(name)
     if not (isinstance(rows, list)
             and all(isinstance(row, list) for row in rows)
             and all(isinstance(entry, str) for row in rows for entry in row)):
@@ -362,10 +361,7 @@ def main(argv=None) -> int:
             raise InputError(
                 f"--order {args.order} is over the limit of {MAX_ORDER}")
         return args.func(args)
-    except StarkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (StarkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

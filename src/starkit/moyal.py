@@ -67,7 +67,9 @@ class StarProduct:
         object.__setattr__(self, "bivector", bivector)
         object.__setattr__(self, "dim", bivector.dim)
         object.__setattr__(self, "order", order)
-        # each nonzero entry as (a, b, step numerator) over one denominator
+        # each nonzero entry as (a, b, step numerator) over one denominator;
+        # the bivector lifts pi for the bracket on its own, so the axiom
+        # check comparing the walk's h^1 with the bracket shares no lifting
         half_i = (0, 1, 1, 2)
         entries = [(a, b, K.cmul(half_i, entry.to_kernel()))
                    for a, row in enumerate(bivector.matrix)
@@ -113,11 +115,8 @@ class StarProduct:
         """The h^k coefficients of f * g for k = 0..top as term maps,
         indexed by k; the walk described in the module docstring."""
         pairs = self._pairs
-        width = (max(map(max, f._terms), default=0)
-                 + max(map(max, g._terms), default=0)).bit_length()
-        lf, df = K.lift(f._terms, width)
-        lg, dg = K.lift(g._terms, width)
-        accs = [K.paddmul({}, lf, lg, 1, 0)] + [{} for _ in range(top)]
+        (lf, lg), den, width = K.lift(f._terms, g._terms)
+        accs = [K.maddmul({}, lf, lg, 1, 0)] + [{} for _ in range(top)]
         # (depth, last entry picked, its multiplicity, weight numerator,
         #  multinomial count, the two derivatives)
         stack = [(0, 0, 0, 1, 0, 1, lf, lg)] if top else []
@@ -126,20 +125,19 @@ class StarProduct:
             children = []
             for p in range(last, len(pairs)):
                 a, b, sr, si = pairs[p]
-                da2 = K.pdiff(da, a, width)
+                da2 = K.mdiff(da, a, width)
                 if not da2:
                     continue
-                db2 = K.pdiff(db, b, width)
+                db2 = K.mdiff(db, b, width)
                 if not db2:
                     continue
                 m = mult + 1 if p == last else 1
                 nr, ni = wr * sr - wi * si, wr * si + wi * sr
                 c = cnt * (depth + 1) // m
-                K.paddmul(accs[depth + 1], da2, db2, nr * c, ni * c)
+                K.maddmul(accs[depth + 1], da2, db2, nr * c, ni * c)
                 if depth + 1 < top:
                     children.append((depth + 1, p, m, nr, ni, c, da2, db2))
             stack.extend(reversed(children))
-        den = df * dg
         out = []
         for k, acc in enumerate(accs):
             out.append(K.lower(acc, den, self.dim, width))

@@ -23,6 +23,8 @@ the residual helpers below return the exact polynomial that must vanish.
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import _kernel as K
 from . import linalg
 from .errors import ArityError, InputError
@@ -83,34 +85,42 @@ class SymplecticForm:
 class PoissonBivector:
     """Constant antisymmetric bivector; evaluates the bracket."""
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ("dim", "matrix", "_pairs", "_den")
 
     def __init__(self, matrix):
         mat = linalg.as_matrix(matrix)
         _check_antisymmetric(mat, "a bivector")
         object.__setattr__(self, "dim", len(mat))
         object.__setattr__(self, "matrix", mat)
+        # each nonzero entry as (a, b, numerator) over one denominator
+        entries = [(a, b, entry.to_kernel())
+                   for a, row in enumerate(mat)
+                   for b, entry in enumerate(row)
+                   if not entry.is_zero()]
+        den = lcm(*{d for _, _, c in entries for d in (c[1], c[3])})
+        object.__setattr__(self, "_pairs", tuple(
+            (a, b, rn * (den // rd), jn * (den // jd))
+            for a, b, (rn, rd, jn, jd) in entries))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonBivector is immutable")
 
     def bracket(self, f: SparsePoly, g: SparsePoly) -> SparsePoly:
-        """{f, g} = sum pi_ab (df/dz_a)(dg/dz_b)."""
+        """{f, g} = sum pi_ab (df/dz_a)(dg/dz_b), over packed maps: f and g
+        are lifted once, differentiated only where some entry needs it,
+        summed in integers over Df Dg D_pi and normalized once."""
         if f.arity != self.dim or g.arity != self.dim:
             raise ArityError(
                 f"bracket needs arity {self.dim}, got {f.arity} and {g.arity}")
-        df = [K.mdiff(f._terms, a) for a in range(self.dim)]
-        dg = [K.mdiff(g._terms, b) for b in range(self.dim)]
+        (lf, lg), den, width = K.lift(f._terms, g._terms)
+        df = {a: K.mdiff(lf, a, width) for a in {p[0] for p in self._pairs}}
+        dg = {b: K.mdiff(lg, b, width) for b in {p[1] for p in self._pairs}}
         acc: dict = {}
-        for a in range(self.dim):
-            if not df[a]:
-                continue
-            for b in range(self.dim):
-                c = self.matrix[a][b]
-                if c.is_zero() or not dg[b]:
-                    continue
-                K.maddmul(acc, df[a], dg[b], c.to_kernel())
-        return SparsePoly._from_raw(self.dim, acc)
+        for a, b, wr, wi in self._pairs:
+            K.maddmul(acc, df[a], dg[b], wr, wi)
+        return SparsePoly._from_raw(
+            self.dim, K.lower(acc, den * self._den, self.dim, width))
 
     def __eq__(self, other):
         return (isinstance(other, PoissonBivector)

@@ -190,7 +190,10 @@ class SparsePoly:
         """Exact partial derivative with respect to z_var (1-based)."""
         if not 1 <= var <= self.arity:
             raise ArityError(f"variable index {var} out of range 1..{self.arity}")
-        return SparsePoly._from_raw(self.arity, K.mdiff(self._terms, var - 1))
+        (p,), den, width = K.lift(self._terms)
+        return SparsePoly._from_raw(
+            self.arity, K.lower(K.mdiff(p, var - 1, width), den, self.arity,
+                                width))
 
     def subst(self, gs: Sequence["SparsePoly"]) -> "SparsePoly":
         """Replace variable j by gs[j-1], fully expanded.

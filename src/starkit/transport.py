@@ -32,10 +32,8 @@ InputError.
 
 from __future__ import annotations
 
-import json
-
 from . import linalg
-from .errors import ArityError, InputError
+from .errors import ArityError, InputError, load_json
 from .moyal import StarProduct, verify_dq_axioms
 from .poisson import PoissonBivector, SymplecticForm, form_from_bivector
 from .poly import SparsePoly
@@ -118,8 +116,7 @@ class SymplectoMap:
 
     @classmethod
     def from_file(cls, path) -> "SymplectoMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))
 
     def to_json(self) -> dict:
         return {

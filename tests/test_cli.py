@@ -297,6 +297,38 @@ def test_malformed_map_or_pairing_is_exit_2(capsys, tmp_path, argv, data,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# every JSON file goes through one reader: text the decoder cannot read
+# is malformed input, never a traceback
+@pytest.mark.parametrize("argv", [
+    ["surface-ingest"],
+    ["transport", "--map"],
+    ["bracket", "--form"],
+], ids=["surface", "map", "form"])
+@pytest.mark.parametrize("text, message", [
+    ("[" + "1" * 5001 + "]", "holds a JSON number with too many digits to "
+                             "read"),
+    ("[" * 100_000, "nests JSON too deeply to read"),
+    (b'["\xff"]', "is not UTF-8 text"),
+    ("{not json", None),
+], ids=["long-number", "deep-nesting", "not-utf8", "not-json"])
+def test_unreadable_json_file_is_exit_2(capsys, tmp_path, argv, text,
+                                        message):
+    path = tmp_path / "input.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    extra = ["z1", "z2"] if argv[0] != "surface-ingest" else []
+    code, out, err = run(capsys, *argv, str(path), *extra)
+    if message is None:
+        # the decoder's own message, as before
+        message = "Expecting property name enclosed in double quotes: " \
+                  "line 1 column 2 (char 1)"
+    else:
+        message = f"{path} {message}"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("rows", [
     [1, 2],
     [[0, 1], [-1, 0]],
@@ -377,8 +409,8 @@ def test_json_star_payload(capsys):
     assert payload["outputs"]["series"] == "z1*z2 - 1/2*i*h"
 
 
-# SHA-256 of whole --json reports on the star path; a change in any
-# printed coefficient or in the report's layout shows here
+# SHA-256 of whole --json reports on the star and bracket paths; a change
+# in any printed coefficient or in the report's layout shows here
 PINNED_JSON = {
     "star": (("star", "--order", "6", "h*z1^3 + 1/3*z2 - 5/7*i",
               "z2^3 - 2/7*i*z1 + 3*h^2*z1*z2"),
@@ -395,6 +427,15 @@ PINNED_JSON = {
                    "z1^2*z2 + 1/3*z1", "z2^2 - 2/5*i*z1*z2"),
                   "d678a5ef4658d49b4fa94e174c800556"
                   "e27f7111d5ca25022c996ca097ece206"),
+    "bracket": (("bracket", "--form", "omega0x2",
+                 "z1^3*z4 - 2/3*i*z2*z3^2 + z1",
+                 "z2^2*z3 + 5*z4^3 - i*z1*z2"),
+                "870919bf6b79328a40e439fb41081375"
+                "b144a6faabfc9da58b0ba9cb3adf71b6"),
+    "verify-transport": (("verify-transport", "--map",
+                          "tests/fixtures/shear_map.json"),
+                         "b9e1b8ce81133d082ba8e62553462a72"
+                         "ead39b80ff783c92f1a9614ef0749c4e"),
 }
 
 

@@ -1,5 +1,6 @@
 """The term-map kernel against Fraction arithmetic and sympy."""
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -58,14 +59,104 @@ def test_cmul_matches_fraction_arithmetic(a, b):
     assert K.qnorm(got[2], got[3]) == (got[2], got[3])
 
 
+# -- references that share no code with the kernel --------------------------
+#
+# A Fraction map sends an exponent tuple to a (real, imaginary) pair of
+# Fractions; a packed key is decoded field by field here, not by K.lower.
+
+def as_fraction_map(t):
+    return {e: as_fraction_pair(c) for e, c in t.items()}
+
+
+def ref_product(t1, t2, w=(1, 0)):
+    """w * t1 * t2 by the schoolbook loop over pairs of terms."""
+    wr, wi = Fraction(w[0]), Fraction(w[1])
+    out = {}
+    for e1, (x, y) in as_fraction_map(t1).items():
+        for e2, (u, v) in as_fraction_map(t2).items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            pr, pi = x * u - y * v, x * v + y * u
+            old = out.get(e, (0, 0))
+            out[e] = (old[0] + wr * pr - wi * pi, old[1] + wr * pi + wi * pr)
+    return nonzero(out)
+
+
+def ref_diff(t, var):
+    out = {}
+    for e, (x, y) in as_fraction_map(t).items():
+        k = e[var]
+        if k:
+            out[e[:var] + (k - 1,) + e[var + 1:]] = (k * x, k * y)
+    return out
+
+
+def nonzero(fmap):
+    return {e: c for e, c in fmap.items() if c != (0, 0)}
+
+
+def pack(e, width):
+    return sum(k << (width * j) for j, k in enumerate(e))
+
+
+def unpack(p, den, width, arity=2):
+    """The Fraction map of a packed map over den, zero terms dropped."""
+    fields = [[(key >> (width * j)) % (1 << width) for j in range(arity)]
+              for key in p]
+    return nonzero({tuple(e): (Fraction(a, den), Fraction(b, den))
+                    for e, (a, b) in zip(fields, p.values())})
+
+
+def lcm_of_denominators(t):
+    return math.lcm(*(d for c in t.values() for d in (c[1], c[3])))
+
+
 @settings(max_examples=40)
-@given(term_maps, term_maps, term_maps, nonzero_coeffs)
-def test_maddmul_agrees_and_accumulates(acc, t1, t2, c):
-    # the fused kernel agrees with add, scale and multiply done apart
-    want = K.madd(acc, K.mscale(K.mmul(t1, t2), c))
-    got = dict(acc)
-    K.maddmul(got, t1, t2, c)
-    assert got == want
+@given(term_maps, term_maps)
+def test_lift_then_lower_gives_back_the_map(t1, t2):
+    (p1, p2), den, width = K.lift(t1, t2)
+    d1, d2 = lcm_of_denominators(t1), lcm_of_denominators(t2)
+    assert den == d1 * d2
+    # the fields hold the sum of the two maps' largest exponents
+    assert width == (max(map(max, t1), default=0)
+                     + max(map(max, t2), default=0)).bit_length()
+    assert K.lower(p1, d1, 2, width) == t1
+    assert K.lower(p2, d2, 2, width) == t2
+    assert unpack(p1, d1, width) == as_fraction_map(t1)
+    (p,), d, w = K.lift(t1)
+    assert K.lower(p, d, 2, w) == t1
+
+
+@settings(max_examples=40)
+@given(term_maps, st.sampled_from([0, 1]))
+def test_mdiff_matches_fraction_loop(t, var):
+    (p,), den, width = K.lift(t)
+    got = K.mdiff(p, var, width)
+    assert unpack(got, den, width) == ref_diff(t, var)
+    assert K.lower(got, den, 2, width) == {
+        e: norm_coeff((x.numerator, x.denominator, y.numerator, y.denominator))
+        for e, (x, y) in ref_diff(t, var).items()}
+
+
+packed_numerators = st.dictionaries(
+    exps, st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=6)
+
+
+@settings(max_examples=60)
+@given(term_maps, term_maps, packed_numerators, st.integers(-5, 5),
+       st.integers(-5, 5))
+def test_maddmul_agrees_and_accumulates(t1, t2, start, wr, wi):
+    (p1, p2), den, width = K.lift(t1, t2)
+    # a non-empty start over the product's denominator, inside the fields
+    # lift sized for t1 * t2
+    start = {e: ab for e, ab in start.items() if max(e) < 1 << width}
+    acc = {pack(e, width): ab for e, ab in start.items()}
+    assert K.maddmul(acc, p1, p2, wr, wi) is acc
+    want = {e: (Fraction(a, den), Fraction(b, den))
+            for e, (a, b) in start.items()}
+    for e, (x, y) in ref_product(t1, t2, (wr, wi)).items():
+        old = want.get(e, (0, 0))
+        want[e] = (old[0] + x, old[1] + y)
+    assert unpack(acc, den, width) == nonzero(want)
 
 
 @settings(max_examples=40)
@@ -74,25 +165,11 @@ def test_mmul_commutes_and_has_no_zero_entries(t1, t2):
     p = K.mmul(t1, t2)
     q = K.mmul(t2, t1)
     assert p == q
+    assert as_fraction_map(p) == ref_product(t1, t2)
     assert all(c[0] != 0 or c[2] != 0 for c in p.values())
     # denominators stay positive and in lowest terms
     for c in p.values():
-        assert c[1] > 0 and c[3] > 0
-
-
-@settings(max_examples=40)
-@given(term_maps, term_maps, st.integers(-5, 5), st.integers(-5, 5))
-def test_packed_kernels_agree_with_term_maps(t1, t2, wr, wi):
-    # exponents reach 3 in each map, so 3-bit fields hold every product
-    width = 3
-    p1, d1 = K.lift(t1, width)
-    p2, d2 = K.lift(t2, width)
-    assert K.lower(p1, d1, 2, width) == t1
-    for var in (0, 1):
-        assert K.lower(K.pdiff(p1, var, width), d1, 2, width) \
-            == K.mdiff(t1, var)
-    got = K.lower(K.paddmul({}, p1, p2, wr, wi), d1 * d2, 2, width)
-    assert got == K.mscale(K.mmul(t1, t2), (wr, 1, wi, 1))
+        assert c == norm_coeff(c) and c[1] > 0 and c[3] > 0
 
 
 def _map_to_sympy(t, x, y):
@@ -103,20 +180,39 @@ def _map_to_sympy(t, x, y):
     return sympy.expand(total)
 
 
+T1 = {(2, 0): (1, 2, 0, 1), (0, 1): (0, 1, -3, 1), (1, 1): (2, 3, 1, 5)}
+T2 = {(0, 2): (4, 1, 0, 1), (1, 0): (-1, 3, 1, 2), (0, 0): (0, 1, 1, 1)}
+
+
 def test_mmul_against_sympy():
     x, y = sympy.symbols("x y")
-    t1 = {(2, 0): (1, 2, 0, 1), (0, 1): (0, 1, -3, 1), (1, 1): (2, 3, 1, 5)}
-    t2 = {(0, 2): (4, 1, 0, 1), (1, 0): (-1, 3, 1, 2), (0, 0): (0, 1, 1, 1)}
-    got = _map_to_sympy(K.mmul(t1, t2), x, y)
-    want = sympy.expand(_map_to_sympy(t1, x, y) * _map_to_sympy(t2, x, y))
+    got = _map_to_sympy(K.mmul(T1, T2), x, y)
+    want = sympy.expand(_map_to_sympy(T1, x, y) * _map_to_sympy(T2, x, y))
+    assert sympy.simplify(got - want) == 0
+
+
+def test_maddmul_against_sympy():
+    x, y = sympy.symbols("x y")
+    (p1, p2), den, width = K.lift(T1, T2)
+    assert den == 30 * 6
+    # start from 7/den x^3 y - 2i/den, then add (2 - 3i) T1 T2
+    acc = {pack((3, 1), width): (7, 0), 0: (0, -2)}
+    K.maddmul(acc, p1, p2, 2, -3)
+    got = _map_to_sympy(K.lower(acc, den, 2, width), x, y)
+    want = sympy.expand(
+        sympy.Rational(7, den) * x ** 3 * y - 2 * sympy.I / den
+        + (2 - 3 * sympy.I) * _map_to_sympy(T1, x, y)
+        * _map_to_sympy(T2, x, y))
     assert sympy.simplify(got - want) == 0
 
 
 def test_mdiff_against_sympy():
     x, y = sympy.symbols("x y")
     t = {(3, 1): (1, 1, 0, 1), (0, 2): (5, 2, -1, 3), (1, 0): (0, 1, 2, 1)}
+    (p,), den, width = K.lift(t)
     for var, s in ((0, x), (1, y)):
-        got = _map_to_sympy(K.mdiff(t, var), x, y)
+        got = _map_to_sympy(K.lower(K.mdiff(p, var, width), den, 2, width),
+                            x, y)
         want = sympy.expand(sympy.diff(_map_to_sympy(t, x, y), s))
         assert sympy.simplify(got - want) == 0
 

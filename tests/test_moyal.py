@@ -220,10 +220,26 @@ def test_packed_fields_hold_the_exponent_sums(pairs):
     # g has no fiber variable, and f is linear in each, so B_k = 0 for k > 1
     assert got == HbarSeries([f * g, s.bracket(f, g).scale(I / 2),
                               SparsePoly.zero(n), SparsePoly.zero(n)])
+    # f * g and the bracket size their own fields by the same rule; the
+    # expected maps are literals, not products
+
+    def mono(coeff, **exps):
+        e = [0] * n
+        for var, k in exps.items():
+            e[int(var[1:]) - 1] = k
+        return SparsePoly(n, {tuple(e): coeff})
+
     if pairs == 1:
         # both summands coincide: f = 2 z1^64 z2 and g = 2 z1^65
-        assert got[0] == (z[1] ** 129 * z[2]).scale(4)
-        assert got[1] == (z[1] ** 128).scale(I * 130)
+        assert got[0] == f * g == mono(4, z1=129, z2=1)
+        assert got[1] == mono(I * 130, z1=128)
+        assert s.bracket(f, g) == mono(260, z1=128)
+    else:
+        assert f * g == (mono(1, z1=129, z2=1) + mono(1, z37=129, z38=1)
+                         + mono(1, z1=64, z2=1, z37=65)
+                         + mono(1, z1=65, z37=64, z38=1))
+        assert s.bracket(f, g) == mono(65, z1=128) + mono(65, z37=128)
+    assert_normalized(HbarSeries([f * g, s.bracket(f, g)]))
 
 
 def test_deep_walk_closed_form():

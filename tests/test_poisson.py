@@ -43,15 +43,20 @@ def test_standard_bracket_sign():
     assert biv.bracket(z2, z1) == SparsePoly.const(2, 1)
 
 
-def test_bivector_from_form_matches_inverse_transpose():
-    # a non-block Gaussian form with Pfaffian 3; pi pinned as literals
+def gaussian_form():
+    """A non-block Gaussian form with Pfaffian 3."""
     i = ExactComplex(0, 1)
-    form = SymplecticForm([
+    return SymplecticForm([
         [0, 1, i, 2],
         [-1, 0, Fraction(1, 2), -i],
         [-i, Fraction(-1, 2), 0, 3],
         [-2, i, -3, 0],
     ])
+
+
+def test_bivector_from_form_matches_inverse_transpose():
+    # pi pinned as literals
+    form = gaussian_form()
     biv = bivector_from_form(form)
     assert [[str(x) for x in row] for row in biv.matrix] == [
         ["0", "1", "1/3*i", "1/6"],
@@ -90,10 +95,14 @@ def test_form_validation():
         SymplecticForm([[0, 0], [0, 0]])  # degenerate
 
 
+# the Gaussian form's pi has denominators 3 and 6 and imaginary entries,
+# so the bracket's entries do not sit over denominator 1
+@pytest.mark.parametrize("biv", [
+    standard_bivector(2), bivector_from_form(gaussian_form()),
+], ids=["standard", "gaussian"])
 @settings(max_examples=30, deadline=None)
 @given(seeds, seeds)
-def test_bracket_matches_sympy(s1, s2):
-    biv = standard_bivector(2)
+def test_bracket_matches_sympy(biv, s1, s2):
     f = random_poly(4, 3, s1)
     g = random_poly(4, 3, s2)
     syms = symbols_for(4)

@@ -20,10 +20,12 @@ on packed maps, the integer form a computation keeps from start to end:
 ``lift`` puts each map's Gaussian-integer numerators over the lcm D of
 its denominators, and owns the width rule: 2^width exceeds the sum of
 the maps' largest exponents, so a product, which adds keys, never
-carries one field into the next.  ``maddmul`` is the one loop over pairs
-of terms, ``mdiff`` multiplies numerators by the exponent and keeps D,
-and ``lower`` divides by the denominator the caller tracked, with one
-``qnorm`` per part, dropping cancelled terms.  ``mmul`` is the three.
+carries one field into the next.  A caller that forms longer products
+(powers, a substitution) passes the width its largest key needs.
+``maddmul`` is the one loop over pairs of terms, ``mdiff`` multiplies
+numerators by the exponent and keeps D, and ``lower`` divides by the
+denominator the caller tracked, with one ``qnorm`` per part, dropping
+cancelled terms.  ``mmul`` is the three.
 
 Callers reach these functions as attributes of this module (``K.mmul``),
 so a tracer that rebinds an attribute sees every call from outside.
@@ -117,10 +119,12 @@ def mscale(t, c):
     return out
 
 
-def lift(*maps):
+def lift(*maps, width=None):
     """(packed maps, product of their denominators, width), the width
-    being the bit length of the sum of each map's largest exponent."""
-    width = sum(max(map(max, t), default=0) for t in maps).bit_length()
+    being the bit length of the sum of each map's largest exponent unless
+    the caller gives one wide enough for every key it will form."""
+    if width is None:
+        width = sum(max(map(max, t), default=0) for t in maps).bit_length()
     packed = []
     den = 1
     for t in maps:

@@ -23,17 +23,26 @@ s_p = (i/2) pi_p is the step of entry p.  Each step differentiates its
 parent's two derivatives once more, and a branch ends as soon as either
 is zero, since every further derivative of zero is zero.
 
-The walk runs on integers (see ``starkit._kernel`` for packed maps).
-f and g are lifted once, to Gaussian-integer numerators over their
-denominators Df and Dg, with exponents packed into bit fields wide
-enough for the max exponent of f plus that of g.  The steps share one
-denominator Ds, set when the product is built.  A branch carries the
-product of its steps' numerators and the multinomial count
-k! / prod(m_p!), which picking entry p for the m-th time at depth k
-turns into count * (k + 1) // m, an exact division.  So every term of
-h^k sits over the one denominator Df Dg Ds^k k!, h^0 = f g is the
-depth-0 term, and each coefficient is normalized once, when the walk
-has finished.
+The walk runs on integers (see ``starkit._kernel`` for packed maps),
+and one walk serves a whole series product, sum_j h^j f_j times
+sum_k h^k g_k.  The coefficients f_j are lifted once, to Gaussian-integer
+numerators over one denominator Df, and the g_k over Dg.  A term of h^j
+is packed with j in an extra bit field above the variables' fields, so a
+product adds h-degrees the way it adds exponents; an h^0 term has an
+empty field, and a plain product f * g is the series case with one
+coefficient each.  The variables' fields are wide enough for the max
+exponent of f plus that of g.  The steps share one denominator Ds, set
+when the product is built.  A branch carries the product of its steps'
+numerators and the multinomial count k! / prod(m_p!), which picking
+entry p for the m-th time at depth k turns into count * (k + 1) // m,
+an exact division.  So every term the walk adds at depth k sits over
+the one denominator Df Dg Ds^k k!, and depth 0 is the plain product.
+A term of h-degree j at depth k lands on h^(j+k).  Each branch drops
+the derivative terms whose h-degree can no longer fit below the order,
+so a deep branch does not carry them; when the walk has finished, the
+depths are regrouped by h-power, over the denominator of the deepest
+depth that reaches it, what lies past the order is dropped, and each
+coefficient is normalized once.
 """
 
 from __future__ import annotations
@@ -48,6 +57,53 @@ from .poly import SparsePoly
 from .reports import Report
 from .scalars import ExactComplex
 from .series import HbarSeries
+
+
+def _support(coeffs, order: int) -> tuple:
+    """The h-degrees j <= order of the nonzero coeffs[j], and the largest
+    total degree among those coefficients."""
+    js = []
+    deg = -1
+    for j, p in enumerate(coeffs[:order + 1]):
+        if p._terms:
+            js.append(j)
+            deg = max(deg, p.degree())
+    return js, deg
+
+
+def _by_h_power(accs, order: int, top: int, ds: int, hshift: int) -> list:
+    """Regroup the walk's per-depth maps into the h^n coefficients,
+    n = 0..order: the term at depth k with h-degree j goes to h^(k+j),
+    over the denominator of depth min(k + j, top), and terms past the
+    order are dropped."""
+    # rel[k] = Ds^k k!, each depth's denominator over that of depth 0
+    rel = [1]
+    for k in range(top):
+        rel.append(rel[-1] * ds * (k + 1))
+    low = (1 << hshift) - 1
+    groups = [{} for _ in range(order + 1)]
+    for k, acc in enumerate(accs):
+        scales = [rel[min(k + j, top)] // rel[k]
+                  for j in range(order + 1 - k)]
+        for key, (x, y) in acc.items():
+            j = key >> hshift
+            if j < len(scales):
+                s = scales[j]
+                dst = groups[k + j]
+                key &= low
+                old = dst.get(key)
+                dst[key] = ((x * s, y * s) if old is None
+                            else (old[0] + x * s, old[1] + y * s))
+    return groups
+
+
+def _with_h(coeffs, js) -> dict:
+    """One term map for sum over j in js of h^j coeffs[j]: a term of h^j
+    keys on its exponents followed by j, an h^0 term on its exponents."""
+    if js == [0]:
+        return coeffs[0]._terms
+    return {e + (j,) if j else e: c
+            for j in js for e, c in coeffs[j]._terms.items()}
 
 
 class StarProduct:
@@ -106,22 +162,42 @@ class StarProduct:
         self._check_arity(f, g)
         if k < 0:
             raise InputError("bidifferential order must be nonnegative")
-        if k > f.degree() or k > g.degree():
-            return SparsePoly.zero(self.dim)
-        return SparsePoly._from_raw(self.dim, self._bidiff(k, f, g)[k]).scale(
+        bk = self._bidiff(k, (f,), (g,))[k]
+        return SparsePoly._from_raw(self.dim, bk).scale(
             factorial(k) * ExactComplex(0, -2) ** k)
 
-    def _bidiff(self, top: int, f: SparsePoly, g: SparsePoly) -> list:
-        """The h^k coefficients of f * g for k = 0..top as term maps,
-        indexed by k; the walk described in the module docstring."""
+    def _bidiff(self, order: int, fs, gs) -> list:
+        """The h^n coefficients, n = 0..order, of the product of the series
+        sum_j h^j fs[j] and sum_k h^k gs[k], as term maps indexed by n;
+        the walk described in the module docstring."""
+        dim = self.dim
+        jf, degf = _support(fs, order)
+        jg, degg = _support(gs, order)
+        if not jf or not jg or jf[0] + jg[0] > order:
+            return [{} for _ in range(order + 1)]
+        fmin, gmin = jf[0], jg[0]
+        fmax, gmax = jf[-1], jg[-1]
+        top = min(order - fmin - gmin, degf, degg)
+        (lf, lg), den, width = K.lift(_with_h(fs, jf), _with_h(gs, jg))
+        hshift = dim * width
         pairs = self._pairs
-        (lf, lg), den, width = K.lift(f._terms, g._terms)
         accs = [K.maddmul({}, lf, lg, 1, 0)] + [{} for _ in range(top)]
         # (depth, last entry picked, its multiplicity, weight numerator,
-        #  multinomial count, the two derivatives)
-        stack = [(0, 0, 0, 1, 0, 1, lf, lg)] if top else []
+        #  multinomial count, the two derivatives, their largest h-degrees)
+        stack = [(0, 0, 0, 1, 0, 1, lf, lg, fmax, gmax)] if top else []
         while stack:
-            depth, last, mult, wr, wi, cnt, da, db = stack.pop()
+            depth, last, mult, wr, wi, cnt, da, db, ha, hb = stack.pop()
+            # the h-degrees that still fit at the children's depth
+            cap = order - depth - 1 - gmin
+            if ha > cap:
+                da = {key: c for key, c in da.items() if key >> hshift <= cap}
+                ha = cap
+            cap = order - depth - 1 - fmin
+            if hb > cap:
+                db = {key: c for key, c in db.items() if key >> hshift <= cap}
+                hb = cap
+            if not da or not db:
+                continue
             children = []
             for p in range(last, len(pairs)):
                 a, b, sr, si = pairs[p]
@@ -136,13 +212,18 @@ class StarProduct:
                 c = cnt * (depth + 1) // m
                 K.maddmul(accs[depth + 1], da2, db2, nr * c, ni * c)
                 if depth + 1 < top:
-                    children.append((depth + 1, p, m, nr, ni, c, da2, db2))
+                    children.append((depth + 1, p, m, nr, ni, c, da2, db2,
+                                     ha, hb))
             stack.extend(reversed(children))
+        if fmax + gmax:
+            accs = _by_h_power(accs, order, top, self._ds, hshift)
+        # h^n is over Df Dg Ds^m m!, m the largest depth that reaches it
         out = []
-        for k, acc in enumerate(accs):
-            out.append(K.lower(acc, den, self.dim, width))
-            den *= self._ds * (k + 1)
-        return out
+        for n, acc in enumerate(accs):
+            out.append(K.lower(acc, den, dim, width))
+            if n < top:
+                den *= self._ds * (n + 1)
+        return out + [{} for _ in range(order + 1 - len(out))]
 
     def coefficient(self, k: int, f: SparsePoly, g: SparsePoly) -> SparsePoly:
         """The h^k coefficient of f * g."""
@@ -158,33 +239,16 @@ class StarProduct:
             order = self.order
         if order < 0:
             raise InputError("order must be nonnegative")
-        coeffs = [SparsePoly.zero(self.dim) for _ in range(order + 1)]
-        top = min(order, f.degree(), g.degree())
-        if top >= 0:
-            for k, acc in enumerate(self._bidiff(top, f, g)):
-                coeffs[k] = SparsePoly._from_raw(self.dim, acc)
-        return HbarSeries(coeffs)
+        return HbarSeries([SparsePoly._from_raw(self.dim, t)
+                           for t in self._bidiff(order, (f,), (g,))])
 
     def star_series(self, F: HbarSeries, G: HbarSeries) -> HbarSeries:
         """Star product of two series, truncated at the smaller order."""
         if F.arity != self.dim or G.arity != self.dim:
             raise ArityError(f"expected arity {self.dim}")
-        order = min(F.order, G.order)
-        out = [SparsePoly.zero(self.dim) for _ in range(order + 1)]
-        for j in range(order + 1):
-            fj = F[j]
-            if fj.is_zero():
-                continue
-            for k in range(order + 1 - j):
-                gk = G[k]
-                if gk.is_zero():
-                    continue
-                rem = order - j - k
-                partial = self.star(fj, gk, rem)
-                for m in range(rem + 1):
-                    if not partial[m].is_zero():
-                        out[j + k + m] = out[j + k + m] + partial[m]
-        return HbarSeries(out)
+        return HbarSeries([SparsePoly._from_raw(self.dim, t) for t in
+                           self._bidiff(min(F.order, G.order), F.coeffs,
+                                        G.coeffs)])
 
     def commutator(self, f: SparsePoly, g: SparsePoly,
                    order: int | None = None) -> HbarSeries:
@@ -255,9 +319,14 @@ def verify_dq_axioms(star_fn, bracket_fn, triples, order: int, arity: int,
       2. unit            1*f = f*1 = f
       3. classical limit (f*g) at h^0 = fg
       4. first order     (f*g - g*f) at h^1 = i {f, g}
+
+    An empty batch is refused: a suite that runs no check proves nothing.
     """
     if order < 1:
         raise InputError("axiom checks need order at least 1")
+    triples = list(triples)
+    if not triples:
+        raise InputError("axiom checks need at least one triple")
     rep = Report(title)
     one = HbarSeries.from_poly(SparsePoly.const(arity, 1), order)
     ii = ExactComplex(0, 1)

@@ -25,6 +25,7 @@ lexicographic order, series coefficients in ascending powers of h, and
 from __future__ import annotations
 
 import re as _re
+from math import comb
 
 from .errors import ParseError
 from .poly import SparsePoly
@@ -43,6 +44,10 @@ MAX_DEGREE = 64
 # base's largest coefficient part would pass the coefficient cap
 MAX_LITERAL_DIGITS = 1000
 MAX_COEFF_BITS = 10_000
+# neither limit bounds the number of terms, which grows as C(t+k-1, k)
+# for a k-th power of t terms: "*" and "^k" are refused when an upper
+# bound on the result's term count passes this, before expanding
+MAX_TERMS = 20_000
 
 _TOKEN_RE = _re.compile(r"\s*(?:(\d+)|([zqp]\d+)|([ih])|([-+*/^()])|(.))")
 
@@ -88,6 +93,26 @@ def _tokenize(text: str):
     return tokens
 
 
+def _check_terms(bound: int, factors, power: int, col: int) -> None:
+    """Refuse the product of the factors, raised to power, when it could
+    have over MAX_TERMS terms.
+
+    bound counts the products of terms.  The result, of degree d at most
+    power times the sum of the factors' degrees, in the v variables the
+    factors use, also has at most C(v + d, v) terms; that is counted
+    only when bound passes the limit.
+    """
+    if bound <= MAX_TERMS:
+        return
+    used = len({i for f in factors for e in f._terms
+                for i, x in enumerate(e) if x})
+    degree = power * sum(f.degree() for f in factors)
+    bound = min(bound, comb(used + degree, used))
+    if bound > MAX_TERMS:
+        raise ParseError(f"up to {bound} terms is over the limit of "
+                         f"{MAX_TERMS}", col)
+
+
 class _Parser:
     """Recursive-descent parser producing a SparsePoly in arity+1 variables,
     the last variable standing for h."""
@@ -129,6 +154,7 @@ class _Parser:
             op, _, col = self.take()
             rhs = self.unary()
             if op == "*":
+                _check_terms(len(value) * len(rhs), (value, rhs), 1, col)
                 value = value * rhs
             else:
                 if not rhs.is_constant():
@@ -169,6 +195,10 @@ class _Parser:
             if bits > MAX_COEFF_BITS:
                 raise ParseError(f"coefficients of about {bits} bits are "
                                  f"over the limit of {MAX_COEFF_BITS}", col)
+            # a k-th power's terms are products of k of the t base terms,
+            # a multiset: at most C(t + k - 1, k) of them
+            _check_terms(comb(max(len(value) + k - 1, 0), k), (value,), k,
+                         col)
             value = value ** k
         return value
 

@@ -200,6 +200,15 @@ class SparsePoly:
 
         gs must have one entry per variable of self; all entries share one
         arity, which becomes the arity of the result.
+
+        The sum runs in integers: each g_j is lifted once, to numerators
+        over its denominator D_j, with bit fields wide enough for the
+        largest exponent of the result, and its powers g_j^k stay packed
+        over D_j^k.  A term c z^e of self, with c lifted over D, becomes
+        a product of powers over D prod_j D_j^e_j; scaling it by the
+        missing powers D_j^(E_j - e_j), with E_j the largest e_j, puts
+        every term over the one denominator D prod_j D_j^E_j, so the
+        terms add in one packed map that is normalized once.
         """
         if len(gs) != self.arity:
             raise ArityError(
@@ -208,27 +217,38 @@ class SparsePoly:
         for g in gs:
             if g.arity != new_arity:
                 raise ArityError("substitution polynomials disagree on arity")
-        # cache powers of each substituted polynomial
-        pow_cache: list[dict[int, dict]] = [dict() for _ in gs]
-
-        def g_power(j: int, k: int) -> dict:
-            cached = pow_cache[j].get(k)
-            if cached is None:
-                if k == 0:
-                    cached = {(0,) * new_arity: K.CONE}
-                else:
-                    cached = K.mmul(g_power(j, k - 1), gs[j]._terms)
-                pow_cache[j][k] = cached
-            return cached
-
+        tops = [max(e[j] for e in self._terms) if self._terms else 0
+                for j in range(self.arity)]
+        width = max((sum(e[j] * max(map(max, g._terms), default=0)
+                         for j, g in enumerate(gs))
+                     for e in self._terms), default=0).bit_length()
+        # lift keeps the order of self's terms, and its own width keeps
+        # their keys apart, so the numerators pair up with the exponents
+        (terms,), den, _ = K.lift(self._terms)
+        unit = {0: (1, 0)}
+        powers = []
+        scales = []
+        for g, top in zip(gs, tops):
+            (p,), d, _ = K.lift(g._terms, width=width)
+            row = [unit, p]
+            while len(row) <= top:
+                row.append(K.maddmul({}, row[-1], p, 1, 0))
+            powers.append(row)
+            scales.append([d ** (top - k) for k in range(top + 1)])
+            den *= d ** top
         acc: dict = {}
-        for exps, coeff in self._terms.items():
-            term = {(0,) * new_arity: coeff}
+        for exps, (a, b) in zip(self._terms, terms.values()):
+            factors = [powers[j][e] for j, e in enumerate(exps) if e]
+            last = factors.pop() if factors else unit
+            prod = factors.pop() if factors else unit
+            for p in factors:
+                prod = K.maddmul({}, prod, p, 1, 0)
+            s = 1
             for j, e in enumerate(exps):
-                if e:
-                    term = K.mmul(term, g_power(j, e))
-            acc = K.madd(acc, term)
-        return SparsePoly._from_raw(new_arity, acc)
+                s *= scales[j][e]
+            K.maddmul(acc, prod, last, a * s, b * s)
+        return SparsePoly._from_raw(new_arity,
+                                    K.lower(acc, den, new_arity, width))
 
     def translate(self, shift) -> "SparsePoly":
         """f(z + shift), expanded exactly by the binomial theorem."""

@@ -28,6 +28,10 @@ term is compared with i psi({f, g}), which holds exactly when the
 pullback bracket is the reference bracket.  A bogus inverse would make
 every image check pass, so a map whose round trip fails is refused with
 InputError.
+
+A map is immutable, so its round trips are run once, on first use, and
+the verdict is kept on the map: every later gate, in check_symplecto,
+transported_star or verify_transported_dq, reads it back.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from .series import HbarSeries
 class SymplectoMap:
     """Polynomial coordinate change with a declared polynomial inverse."""
 
-    __slots__ = ("dim", "forward", "inverse", "degree_bound")
+    __slots__ = ("dim", "forward", "inverse", "degree_bound",
+                 "_round_trips")
 
     def __init__(self, forward, inverse, degree_bound: int):
         fwd = tuple(forward)
@@ -69,6 +74,7 @@ class SymplectoMap:
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "inverse", inv)
         object.__setattr__(self, "degree_bound", degree_bound)
+        object.__setattr__(self, "_round_trips", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymplectoMap is immutable")
@@ -135,23 +141,27 @@ class SymplectoMap:
         return SymplectoMap(fwd, inv,
                             max(1, self.degree_bound * other.degree_bound))
 
+    def round_trips(self) -> tuple:
+        """(name, ok, detail) for each coordinate's two compositions,
+        computed on the first call and kept on the map."""
+        if self._round_trips is None:
+            fwd = list(self.forward)
+            inv = list(self.inverse)
+            out = []
+            for a in range(self.dim):
+                z = SparsePoly.variable(self.dim, a + 1)
+                both = (self.forward[a].subst(inv), self.inverse[a].subst(fwd))
+                ok = both[0] == z and both[1] == z
+                out.append((f"coordinate {a + 1} round trip", ok,
+                            "" if ok else f"forward o inverse gave {both[0]}, "
+                            f"inverse o forward gave {both[1]}"))
+            object.__setattr__(self, "_round_trips", tuple(out))
+        return self._round_trips
+
     def jacobian(self):
         """J[a][c] = d(forward_a)/d(z_c), a matrix of polynomials."""
         return [[comp.diff(c + 1) for c in range(self.dim)]
                 for comp in self.forward]
-
-
-def _round_trips(m: SymplectoMap):
-    """Yield (name, ok, detail) for each coordinate's two compositions."""
-    fwd = list(m.forward)
-    inv = list(m.inverse)
-    for a in range(m.dim):
-        z = SparsePoly.variable(m.dim, a + 1)
-        both = (m.forward[a].subst(inv), m.inverse[a].subst(fwd))
-        ok = both[0] == z and both[1] == z
-        yield (f"coordinate {a + 1} round trip", ok,
-               "" if ok else f"forward o inverse gave {both[0]}, "
-               f"inverse o forward gave {both[1]}")
 
 
 def check_symplecto(m: SymplectoMap, form: SymplecticForm) -> Report:
@@ -160,7 +170,7 @@ def check_symplecto(m: SymplectoMap, form: SymplecticForm) -> Report:
         raise ArityError(
             f"form dimension {form.dim} does not match map dimension {m.dim}")
     rep = Report("symplectomorphism check")
-    for name, ok, detail in _round_trips(m):
+    for name, ok, detail in m.round_trips():
         rep.add(name, ok, detail)
 
     residual = linalg.congruence_residual(linalg.transpose(m.jacobian()),
@@ -223,7 +233,7 @@ def verify_transported_dq(m: SymplectoMap, sp: StarProduct, triples,
     """
     if order is None:
         order = sp.order
-    for name, ok, detail in _round_trips(m):
+    for name, ok, detail in m.round_trips():
         if not ok:
             raise InputError(f"map rejected: {name} failed ({detail})")
     inv = list(m.inverse)

@@ -5,6 +5,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from starkit import cli
 from starkit.cli import main
 from starkit.corpus import CORPUS_VERSION
 from starkit.parsing import (MAX_COEFF_BITS, MAX_DEGREE, MAX_LITERAL_DIGITS,
-                             MAX_NESTING)
+                             MAX_NESTING, MAX_TERMS)
 
 from conftest import fixture_path
 
@@ -247,6 +248,31 @@ def test_oversized_request_is_exit_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+SIX_PAIRS = "(" + "+".join(f"q{i}+p{i}" for i in range(1, 7)) + ")"
+
+
+@pytest.mark.parametrize("f, message", [
+    # 12 terms to the 10th: C(21, 10) multisets, C(22, 12) monomials
+    (f"{SIX_PAIRS}^10", f"syntax error at column 39: up to 352716 terms "
+                        f"is over the limit of {MAX_TERMS}"),
+    # at degree 64: about 4.9e12 monomials of degree at most 64
+    (f"{SIX_PAIRS}^64", f"syntax error at column 39: up to 4898229264825 "
+                        f"terms is over the limit of {MAX_TERMS}"),
+    # 1365 times 1365 term products, C(20, 12) monomials of degree 8
+    (f"{SIX_PAIRS}^4*{SIX_PAIRS}^4", f"syntax error at column 40: up to "
+                                     f"125970 terms is over the limit of "
+                                     f"{MAX_TERMS}"),
+], ids=["power", "power-at-degree-limit", "product"])
+def test_term_count_is_refused_before_expanding(capsys, f, message):
+    # the bound is checked before anything is expanded, so the refusal
+    # is quick; expanded, the 10th power alone has 352716 terms
+    start = time.perf_counter()
+    code, out, err = run(capsys, "product-star", "--n", "6", "--order", "1",
+                         f, "p1")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_degree_at_the_limit_parses(capsys):
     code, out, err = run(capsys, "bracket", f"z1^{MAX_DEGREE}", "z2")
     assert (code, out, err) == (0, f"-{MAX_DEGREE}*z1^{MAX_DEGREE - 1}\n",
@@ -436,6 +462,13 @@ PINNED_JSON = {
                           "tests/fixtures/shear_map.json"),
                          "b9e1b8ce81133d082ba8e62553462a72"
                          "ead39b80ff783c92f1a9614ef0749c4e"),
+    # products of series with h-terms in one factor, through the
+    # substitutions of a degree-3 map
+    "verify-transport-deep": (("verify-transport", "--map",
+                               "tests/fixtures/base_shear_map.json",
+                               "--order", "6", "--count", "3"),
+                              "37d9f70289335c9c1cdf0fcd08d68776"
+                              "9c7db237626eaa41a8d71540bc0f71b7"),
 }
 
 

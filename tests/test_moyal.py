@@ -143,15 +143,19 @@ def test_bidiff_matches_reference_tensor_sum():
         assert sympy.simplify(sympy.expand(got - want)) == 0
 
 
+# the Pfaffian-3 Gaussian form of test_poisson: every row of pi has
+# three nonzero entries
+GAUSSIAN_FORM = SymplecticForm([
+    [0, 1, I, 2],
+    [-1, 0, Fraction(1, 2), -I],
+    [-I, Fraction(-1, 2), 0, 3],
+    [-2, I, -3, 0],
+])
+
+
 def test_walk_matches_reference_on_non_block_form():
-    # the Pfaffian-3 Gaussian form of test_poisson: every row of pi has
-    # three nonzero entries, and the squares force repeated picks
-    s = StarProduct.from_form(SymplecticForm([
-        [0, 1, I, 2],
-        [-1, 0, Fraction(1, 2), -I],
-        [-I, Fraction(-1, 2), 0, 3],
-        [-2, I, -3, 0],
-    ]))
+    # the squares force repeated picks
+    s = StarProduct.from_form(GAUSSIAN_FORM)
     z1, z2, z3, z4 = (SparsePoly.variable(4, i) for i in range(1, 5))
     f = random_poly(4, 3, 12) + z1 ** 2 * z3 ** 2
     g = random_poly(4, 3, 13) + z2 ** 3 * z4.scale(I)
@@ -263,6 +267,14 @@ def test_axioms_on_seeded_triples_dim2():
     assert rep.passed, rep.failures()
 
 
+def test_axiom_suite_refuses_an_empty_batch():
+    # zero triples would be a pass with no check run
+    with pytest.raises(InputError, match="at least one triple"):
+        verify_star_axioms(StarProduct.standard(1), [], 3)
+    with pytest.raises(InputError, match="at least one triple"):
+        verify_dq_axioms(sp2().star_series, sp2().bracket, iter(()), 3, 2)
+
+
 def test_axioms_on_seeded_triples_dim6():
     s = StarProduct.standard(3)
     triples = random_poly_triples(6, 3, 2, seed=4)
@@ -286,11 +298,13 @@ def test_truncation_consistency():
 
 # -- mutants must fail -------------------------------------------------------
 
-def _no_factorial_star(sp_true):
-    """Star with the 1/k! prefactor dropped, as a series-level product."""
+def _per_pair_star(sp, keep_factorial=True):
+    """A series-level product summed from single products, one pair
+    (F[j], G[k]) of coefficients at a time; without keep_factorial the
+    1/m! prefactor of h^m is dropped."""
     def star_fn(F, G):
         order = min(F.order, G.order)
-        coeffs = [SparsePoly.zero(sp_true.dim) for _ in range(order + 1)]
+        coeffs = [SparsePoly.zero(sp.dim) for _ in range(order + 1)]
         for j in range(order + 1):
             if F[j].is_zero():
                 continue
@@ -299,18 +313,62 @@ def _no_factorial_star(sp_true):
                     continue
                 top = min(order - j - k, F[j].degree(), G[k].degree())
                 for m in range(max(top, 0) + 1):
-                    term = sp_true.coefficient(m, F[j], G[k]).scale(
-                        factorial(m))
+                    term = sp.coefficient(m, F[j], G[k])
+                    if not keep_factorial:
+                        term = term.scale(factorial(m))
                     if not term.is_zero():
                         coeffs[j + k + m] = coeffs[j + k + m] + term
         return HbarSeries(coeffs)
     return star_fn
 
 
+def seeded_series(arity, degrees, seed):
+    """sum_j h^j f_j with f_j seeded of max degree degrees[j]; None is a
+    zero coefficient."""
+    return HbarSeries([SparsePoly.zero(arity) if d is None
+                       else random_poly(arity, d, seed + j)
+                       for j, d in enumerate(degrees)])
+
+
+@pytest.mark.parametrize("form, f_degrees, g_degrees", [
+    # h-terms in both factors, equal orders
+    (SymplecticForm.standard(1), [3, 2, None, 4, 1], [2, None, 3, 2, None]),
+    # unequal orders: the product stops at the smaller
+    (SymplecticForm.standard(1), [3, 3, 2, 4, 1, 2], [3, 1, 2]),
+    # leading zero coefficients, and a high-h coefficient of high degree
+    # that meets the other factor only at low depths
+    (SymplecticForm.standard(1), [None, 3, None, 5], [None, 4, 2, None]),
+    # the lowest h-degrees already pass the order: the product is zero
+    (SymplecticForm.standard(1), [None, None, 3], [None, None, 2]),
+    # order 0
+    (SymplecticForm.standard(1), [3], [2, 3, 1]),
+    (SymplecticForm.standard(2), [2, 2, None, 1], [2, 1, 2, 2]),
+    (GAUSSIAN_FORM, [2, 2, 1], [3, None, 2]),
+], ids=["both-h", "unequal-orders", "zero-coefficients", "all-past-order",
+        "order-0", "dim4-standard", "dim4-gaussian"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_star_series_is_the_per_pair_sum(form, f_degrees, g_degrees, seed):
+    s = StarProduct.from_form(form)
+    F = seeded_series(form.dim, f_degrees, 100 * seed)
+    G = seeded_series(form.dim, g_degrees, 100 * seed + 50)
+    got = s.star_series(F, G)
+    assert got.order == min(F.order, G.order)
+    assert_normalized(got)
+    assert got == _per_pair_star(s)(F, G)
+
+
+def test_star_series_of_zero_series_is_zero():
+    s = sp2()
+    F = seeded_series(2, [3, 2], 7)
+    assert s.star_series(F, HbarSeries.zero(2, 3)) == HbarSeries.zero(2, 1)
+    assert s.star_series(HbarSeries.zero(2, 1), F) == HbarSeries.zero(2, 1)
+
+
 def test_mutant_without_factorial_breaks_associativity():
     s = sp2()
     triples = random_poly_triples(2, 6, 3, seed=9)
-    rep = verify_dq_axioms(_no_factorial_star(s), s.bracket, triples,
+    rep = verify_dq_axioms(_per_pair_star(s, keep_factorial=False),
+                           s.bracket, triples,
                            order=6, arity=2)
     assert not rep.passed
     bad = [e.name for e in rep.failures()]

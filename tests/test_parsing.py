@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from starkit.corpus import random_poly
 from starkit.errors import ArityError, ParseError
-from starkit.parsing import (parse_expr, parse_poly, parse_scalar,
+from starkit.parsing import (MAX_TERMS, parse_expr, parse_poly, parse_scalar,
                              parse_series, poly_to_str, series_to_str)
 from starkit.poly import SparsePoly
 
@@ -139,3 +139,26 @@ def test_parse_expr_picks_series_when_order_given():
     assert F.order == 2
     f = parse_expr("z1", 2)
     assert isinstance(f, SparsePoly)
+
+
+TWELVE = "(" + "+".join(f"z{i}" for i in range(1, 13)) + ")"
+
+
+def test_term_limit_counts_monomials_when_smaller():
+    # 15 terms to the 8th are C(22, 8) = 319770 multisets, over the limit,
+    # but two variables hold only C(34, 2) = 561 monomials of degree <= 32
+    f = parse_poly("((1+z1+z2)^4)^8", 2)
+    assert len(f) == 561
+    assert f == parse_poly("(1+z1+z2)^32", 2)
+    # 78 times 364 term products, but C(17, 5) = 6188 monomials
+    g = parse_poly(f"{TWELVE}^2*{TWELVE}^3", 12)
+    assert g == parse_poly(f"{TWELVE}^5", 12)
+
+
+def test_term_limit_refuses_products_and_powers():
+    with pytest.raises(ParseError, match=f"up to 31824 terms is over the "
+                                         f"limit of {MAX_TERMS}"):
+        parse_poly(f"{TWELVE}^7", 12)
+    # 364 times 1365 term products, C(19, 7) monomials of degree 7 or less
+    with pytest.raises(ParseError, match="up to 50388 terms"):
+        parse_poly(f"{TWELVE}^3*{TWELVE}^4", 12)

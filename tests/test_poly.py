@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from starkit.corpus import random_poly, random_translations
 from starkit.errors import ArityError
+from starkit.parsing import parse_poly
 from starkit.poly import SparsePoly, grlex_key
 from starkit.scalars import ExactComplex
 
@@ -88,6 +90,48 @@ def test_subst_composition():
     got = f.subst(gs)
     want = (v(1) + v(2)) ** 2 + v(1) * v(2)
     assert got == want
+
+
+def _sympy_subst(f, gs):
+    old = symbols_for(f.arity)
+    new = symbols_for(gs[0].arity)
+    return sympy.expand(poly_to_sympy(f, old).subs(
+        {z: poly_to_sympy(g, new) for z, g in zip(old, gs)},
+        simultaneous=True))
+
+
+def _parsed(texts, arity):
+    return [parse_poly(t, arity) for t in texts]
+
+
+@pytest.mark.parametrize("arity, degree, gs", [
+    # g_j over different denominators, one Gaussian
+    (3, 3, _parsed(["1/3*z1 + 2/5*z2^2", "(1/2 + 3/7*i)*z1*z2 - 1/11",
+                    "z2 - 5/6*i"], 2)),
+    # a constant and a zero g_j
+    (3, 4, _parsed(["7/2", "0", "2/3*z1^2 - z2"], 2)),
+    # every g_j constant: the result is a constant
+    (2, 3, _parsed(["1/2", "-3*i"], 2)),
+    # the arity grows
+    (2, 3, _parsed(["z1*z4 - 1/3*z3", "1/5*z2^2 + i*z3"], 4)),
+])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_subst_matches_sympy(arity, degree, gs, seed):
+    f = random_poly(arity, degree, seed)
+    got = f.subst(gs)
+    assert got.arity == gs[0].arity
+    for rn, rd, jn, jd in got._terms.values():
+        assert (rn or jn) and rd > 0 and jd > 0
+        assert gcd(rn, rd) == 1 and gcd(jn, jd) == 1
+    want = _sympy_subst(f, gs)
+    assert sympy.expand(poly_to_sympy(got, symbols_for(got.arity))
+                        - want) == 0
+
+
+def test_subst_into_zero_and_constant():
+    gs = _parsed(["1/3*z1 + z2", "z1^2"], 2)
+    assert SparsePoly.zero(2).subst(gs).is_zero()
+    assert c(Fraction(4, 9)).subst(gs) == c(Fraction(4, 9))
 
 
 @settings(max_examples=20)

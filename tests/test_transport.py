@@ -45,6 +45,46 @@ def test_verify_transported_dq_refuses_a_failed_round_trip():
         transport.verify_transported_dq(m, sp, triples, order=4)
 
 
+def test_a_failed_round_trip_is_refused_on_every_call():
+    # the verdict is kept on the map; a kept verdict must still refuse
+    m = make_map(["z1", "z2 + z1^2"], ["z1", "z2 + z1^2"], 2)
+    sp = StarProduct.standard(1, order=4)
+    triples = random_poly_triples(2, 1, 3, seed=20)
+    f = SparsePoly.variable(2, 1)
+    for _ in range(3):
+        with pytest.raises(InputError, match="map rejected: coordinate 2 "
+                                             "round trip failed"):
+            transport.verify_transported_dq(m, sp, triples, order=4)
+        with pytest.raises(InputError, match="map rejected"):
+            transport.transported_star(m, sp, f, f)
+        assert not transport.check_symplecto(m, FORM).passed
+
+
+def test_check_symplecto_report_is_the_same_on_every_call():
+    sp = StarProduct.standard(1, order=4)
+    triples = random_poly_triples(2, 1, 3, seed=20)
+    want = {"title": "symplectomorphism check", "passed": True, "checks": [
+        {"name": "coordinate 1 round trip", "passed": True, "detail": ""},
+        {"name": "coordinate 2 round trip", "passed": True, "detail": ""},
+        {"name": "Jacobian conjugates the form to itself", "passed": True,
+         "detail": ""}]}
+    m = make_map(["z1", "z2 + z1^2"], ["z1", "z2 - z1^2"], 2)
+    assert transport.check_symplecto(m, FORM).to_dict() == want
+    assert transport.verify_transported_dq(m, sp, triples, order=4).passed
+    assert transport.check_symplecto(m, FORM).to_dict() == want
+    # a fresh map of the same components runs its own round trips
+    again = make_map(["z1", "z2 + z1^2"], ["z1", "z2 - z1^2"], 2)
+    assert transport.check_symplecto(again, FORM).to_dict() == want
+
+
+def test_verify_transported_dq_refuses_an_empty_batch():
+    # zero triples would be a pass with no check run
+    sp = StarProduct.standard(1, order=3)
+    with pytest.raises(InputError, match="at least one triple"):
+        transport.verify_transported_dq(transport.SymplectoMap.identity(2),
+                                        sp, [], 3)
+
+
 def test_verify_transported_dq_along_identity_is_the_star_suite():
     sp = StarProduct.standard(1, order=4)
     triples = random_poly_triples(2, 3, 3, seed=22)

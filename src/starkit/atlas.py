@@ -111,7 +111,8 @@ _IDENTITY = linalg.identity(2)
 class ChartMap:
     """Affine chart change on (zeta, lambda), stored as v -> A v + s."""
 
-    __slots__ = ("matrix", "shift", "_shift_k", "_translation", "_inverse")
+    __slots__ = ("matrix", "shift", "_shift_k", "_translation", "_inverse",
+                 "_rows")
 
     def __init__(self, matrix, shift):
         mat = linalg.as_matrix(matrix)
@@ -125,6 +126,9 @@ class ChartMap:
         object.__setattr__(self, "_shift_k", tuple(x.to_kernel() for x in sh))
         object.__setattr__(self, "_translation", mat == _IDENTITY)
         object.__setattr__(self, "_inverse", None)
+        # the Taylor-shift weights per shift component and degree, filled
+        # by pull() as degrees come up
+        object.__setattr__(self, "_rows", ({}, {}))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChartMap is immutable")
@@ -165,7 +169,7 @@ class ChartMap:
         if f.arity != 2:
             raise ArityError("chart functions have arity 2")
         if self._translation:
-            return f._translate(self._shift_k)
+            return f._translate(self._shift_k, self._rows)
         return f.affine_subst(self.matrix, self.shift)
 
     def symplectic_residual(self, form: SymplecticForm):

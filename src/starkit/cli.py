@@ -4,11 +4,16 @@ Every command prints canonical text by default or a deterministic JSON
 run report with --json.  Exit codes: 0 when all checks pass, 1 when a
 check fails, 2 for malformed input of any kind (bad expression, bad
 file, bad flag combination).
+
+The argument parser is built on the first main() call and kept for the
+rest of the process, so a program that calls main() many times builds
+it once; importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -346,9 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # commands taking --count run that many generated cases; none
         # would be a vacuous pass

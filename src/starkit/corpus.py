@@ -33,11 +33,17 @@ def _rational(rng: random.Random, zero_ok: bool = True) -> tuple:
     return K.qnorm(num, rng.randint(1, 3))
 
 
-def _scalar(rng: random.Random, zero_ok: bool = False) -> ExactComplex:
+def _coeff(rng: random.Random, zero_ok: bool = False) -> tuple:
+    """A drawn Gaussian rational as a kernel coefficient, redrawn while
+    zero unless zero_ok."""
     while True:
-        value = ExactComplex.from_kernel(_rational(rng) + _rational(rng))
-        if zero_ok or not value.is_zero():
-            return value
+        c = _rational(rng) + _rational(rng)
+        if zero_ok or c[0] or c[2]:
+            return c
+
+
+def _scalar(rng: random.Random, zero_ok: bool = False) -> ExactComplex:
+    return ExactComplex.from_kernel(_coeff(rng, zero_ok))
 
 
 def _poly(rng: random.Random, arity: int, max_degree: int) -> SparsePoly:
@@ -47,8 +53,8 @@ def _poly(rng: random.Random, arity: int, max_degree: int) -> SparsePoly:
         exps = [0] * arity
         for _ in range(degree):
             exps[rng.randrange(arity)] += 1
-        terms[tuple(exps)] = _scalar(rng)
-    return SparsePoly(arity, terms)
+        terms[tuple(exps)] = _coeff(rng)
+    return SparsePoly._from_raw(arity, terms)
 
 
 def random_poly(arity: int, max_degree: int, seed: int) -> SparsePoly:

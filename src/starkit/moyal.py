@@ -62,6 +62,11 @@ from .series import HbarSeries
 def _support(coeffs, order: int) -> tuple:
     """The h-degrees j <= order of the nonzero coeffs[j], and the largest
     total degree among those coefficients."""
+    if len(coeffs) == 1:  # a polynomial, as star() passes it
+        terms = coeffs[0]._terms
+        if not terms:
+            return [], -1
+        return [0], max(map(sum, terms))
     js = []
     deg = -1
     for j, p in enumerate(coeffs[:order + 1]):
@@ -178,6 +183,8 @@ class StarProduct:
         fmin, gmin = jf[0], jg[0]
         fmax, gmax = jf[-1], jg[-1]
         top = min(order - fmin - gmin, degf, degg)
+        # with no h-terms in either factor no term is ever past a cap
+        hcaps = fmax or gmax
         (lf, lg), den, width = K.lift(_with_h(fs, jf), _with_h(gs, jg))
         hshift = dim * width
         pairs = self._pairs
@@ -187,17 +194,20 @@ class StarProduct:
         stack = [(0, 0, 0, 1, 0, 1, lf, lg, fmax, gmax)] if top else []
         while stack:
             depth, last, mult, wr, wi, cnt, da, db, ha, hb = stack.pop()
-            # the h-degrees that still fit at the children's depth
-            cap = order - depth - 1 - gmin
-            if ha > cap:
-                da = {key: c for key, c in da.items() if key >> hshift <= cap}
-                ha = cap
-            cap = order - depth - 1 - fmin
-            if hb > cap:
-                db = {key: c for key, c in db.items() if key >> hshift <= cap}
-                hb = cap
-            if not da or not db:
-                continue
+            if hcaps:
+                # the h-degrees that still fit at the children's depth
+                cap = order - depth - 1 - gmin
+                if ha > cap:
+                    da = {key: c for key, c in da.items()
+                          if key >> hshift <= cap}
+                    ha = cap
+                cap = order - depth - 1 - fmin
+                if hb > cap:
+                    db = {key: c for key, c in db.items()
+                          if key >> hshift <= cap}
+                    hb = cap
+                if not da or not db:
+                    continue
             children = []
             for p in range(last, len(pairs)):
                 a, b, sr, si = pairs[p]
@@ -281,7 +291,8 @@ def linear_action_check(star: StarProduct, matrix, cases=None,
     the product: (f o S) * (g o S) = (f * g) o S.
 
     Maps that move the bivector are rejected up front rather than
-    reported, since the identity is not expected to hold for them.
+    reported, since the identity is not expected to hold for them.  An
+    empty list of cases is refused; cases=None draws five seeded pairs.
     """
     S = linalg.as_matrix(matrix)
     if len(S) != star.dim:
@@ -296,6 +307,9 @@ def linear_action_check(star: StarProduct, matrix, cases=None,
     if cases is None:
         from .corpus import random_poly_pairs
         cases = random_poly_pairs(star.dim, count=5, max_degree=3, seed=seed)
+    cases = list(cases)
+    if not cases:
+        raise InputError("linear action checks need at least one pair")
     rep = Report("linear invariance")
     rep.add("map preserves the bivector", True)
     for idx, (f, g) in enumerate(cases):

@@ -200,12 +200,22 @@ def symmetrize(f: SparsePoly) -> SparsePoly:
 
 
 def is_symmetric(f: SparsePoly) -> bool:
-    """Fixed by every relabelling; the adjacent swaps generate S_n."""
+    """Fixed by every relabelling; the adjacent swaps generate S_n.
+
+    A swap is an involution on exponent vectors, so it fixes f exactly
+    when every term's image under it is a term of f with the same
+    coefficient; each image is looked up, and the first miss decides.
+    """
     if f.arity % 2 != 0:
         raise ArityError("symmetry is defined for even arity")
-    n = f.arity // 2
-    return all(permute_poly(Permutation.transposition(n, i, i + 1), f) == f
-               for i in range(n - 1))
+    terms = f._terms
+    for k in range(0, f.arity - 2, 2):
+        for exps, c in terms.items():
+            left, right = exps[k:k + 2], exps[k + 2:k + 4]
+            if left != right and terms.get(
+                    exps[:k] + right + left + exps[k + 4:]) != c:
+                return False
+    return True
 
 
 def power_sum(ps: ProductSpace, k: int) -> SparsePoly:

@@ -28,8 +28,8 @@ import re as _re
 from math import comb
 
 from .errors import ParseError
-from .poly import SparsePoly
-from .scalars import ExactComplex, format_rational
+from .poly import SparsePoly, grlex_key
+from .scalars import ExactComplex, format_complex, format_ratio
 from .series import HbarSeries
 
 # parentheses recurse through five methods per level; deeper text is
@@ -296,28 +296,24 @@ def _monomial_str(exps, names) -> str:
     return "*".join(parts)
 
 
-def _term_piece(exps, coeff: ExactComplex, names) -> tuple[int, str]:
-    """Return (sign, body) for one term; mixed coefficients keep sign +1."""
+def _term_piece(exps, c, names) -> tuple[int, str]:
+    """Return (sign, body) for one term with kernel coefficient c;
+    mixed coefficients keep sign +1."""
     mono = _monomial_str(exps, names)
-    re_, im = coeff.re, coeff.im
-    if im == 0:
-        sign = 1 if re_ > 0 else -1
-        mag = format_rational(abs(re_))
-        if mono:
-            body = mono if mag == "1" else f"{mag}*{mono}"
+    rn, rd, jn, jd = c
+    if jn == 0:
+        if mono and rn in (1, -1) and rd == 1:
+            return rn, mono
+        mag = format_ratio(abs(rn), rd)
+        return (1 if rn > 0 else -1), f"{mag}*{mono}" if mono else mag
+    if rn == 0:
+        if jn in (1, -1) and jd == 1:
+            unit = "i"
         else:
-            body = mag
-        return sign, body
-    if re_ == 0:
-        sign = 1 if im > 0 else -1
-        mag = abs(im)
-        unit = "i" if mag == 1 else f"{format_rational(mag)}*i"
-        body = f"{unit}*{mono}" if mono else unit
-        return sign, body
-    body = f"({coeff})"
-    if mono:
-        body = f"{body}*{mono}"
-    return 1, body
+            unit = f"{format_ratio(abs(jn), jd)}*i"
+        return (1 if jn > 0 else -1), f"{unit}*{mono}" if mono else unit
+    body = f"({format_complex(c)})"
+    return 1, f"{body}*{mono}" if mono else body
 
 
 def _join(pieces) -> str:
@@ -330,12 +326,18 @@ def _join(pieces) -> str:
     return "".join(out)
 
 
+def _pieces(p: SparsePoly, names) -> list:
+    """(sign, body) per term, in descending graded lexicographic order."""
+    terms = p._terms
+    return [_term_piece(e, terms[e], names)
+            for e in sorted(terms, key=grlex_key, reverse=True)]
+
+
 def poly_to_str(p: SparsePoly, names=None) -> str:
     if p.is_zero():
         return "0"
     names = names or _default_names(p.arity)
-    pieces = [_term_piece(e, c, names) for e, c in p.terms()]
-    return _join(pieces)
+    return _join(_pieces(p, names))
 
 
 def series_to_str(s: HbarSeries, names=None) -> str:
@@ -346,11 +348,11 @@ def series_to_str(s: HbarSeries, names=None) -> str:
         if p.is_zero():
             continue
         if k == 0:
-            pieces.extend(_term_piece(e, c, names) for e, c in p.terms())
+            pieces.extend(_pieces(p, names))
             continue
         hpow = "h" if k == 1 else f"h^{k}"
         if len(p) == 1:
-            ((exps, coeff),) = p.terms()
+            ((exps, coeff),) = p._terms.items()
             sign, body = _term_piece(exps, coeff, names)
             body = hpow if body == "1" else f"{body}*{hpow}"
             pieces.append((sign, body))

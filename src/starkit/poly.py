@@ -256,18 +256,21 @@ class SparsePoly:
             raise ArityError(f"shift must have length {self.arity}")
         return self._translate([_coerce_coeff(c) for c in shift])
 
-    def _translate(self, shift) -> "SparsePoly":
+    def _translate(self, shift, rows=None) -> "SparsePoly":
         """translate() on a shift already given as kernel coefficients.
 
         One pass per nonzero component j sends a z_j^k to
         sum_i C(k, i) c^(k-i) a z_j^i; the weights C(k, i) c^(k-i) are
         built once per pass and degree, and cancelled terms are dropped.
+        rows, when given, holds one dict per component from degree k to
+        its weights; it is read and filled, so a caller that shifts by
+        the same vector again can keep it.
         """
         terms = self._terms
         for j, c in enumerate(shift):
             if (c[0] == 0 and c[2] == 0) or not terms:
                 continue
-            weights: dict = {}
+            weights = {} if rows is None else rows[j]
             out: dict = {}
             for exps, a in terms.items():
                 k = exps[j]

@@ -34,15 +34,29 @@ def parse_rational(text: str) -> Fraction:
                          f"long") from None
 
 
-def format_rational(q: Fraction) -> str:
+def format_ratio(num: int, den: int) -> str:
+    """The normalized rational num/den as "n" or "n/d"."""
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # past the interpreter's int/str digit limit
         raise InputError(f"a coefficient has over "
                          f"{sys.get_int_max_str_digits()} digits, too many "
                          f"to print") from None
+
+
+def format_complex(c) -> str:
+    """A kernel coefficient (rn, rd, jn, jd) as "a", "b*i" or "a+b*i",
+    with a unit imaginary part written "i" or "-i"."""
+    rn, rd, jn, jd = c
+    if jn == 0:
+        return format_ratio(rn, rd)
+    if jd == 1 and jn in (1, -1):
+        im = "i" if jn > 0 else "-i"
+    else:
+        im = f"{format_ratio(jn, jd)}*i"
+    if rn == 0:
+        return im
+    return format_ratio(rn, rd) + (im if jn < 0 else "+" + im)
 
 
 def _ratio(part) -> tuple:
@@ -158,24 +172,7 @@ class ExactComplex:
         return hash(self._c)
 
     def __str__(self):
-        re, im = self.re, self.im
-        if im == 0:
-            return format_rational(re)
-        if re == 0:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{format_rational(im)}*i"
-        if im == 1:
-            tail = "+i"
-        elif im == -1:
-            tail = "-i"
-        elif im > 0:
-            tail = f"+{format_rational(im)}*i"
-        else:
-            tail = f"-{format_rational(-im)}*i"
-        return format_rational(re) + tail
+        return format_complex(self._c)
 
     def __repr__(self):
         return f"ExactComplex({self.re!r}, {self.im!r})"

@@ -167,6 +167,24 @@ def test_chart_map_inverse_is_kept():
     assert t.inverse() == atlas.ChartMap.translation(c2(-3, -1))
 
 
+def test_translation_pull_keeps_its_taylor_rows():
+    # pull() fills the map's rows as degrees come up and reads them on
+    # later calls; each pull equals the public translate
+    t = atlas.ChartMap([[1, 0], [0, 1]], [c2(Fraction(2, 3), 1),
+                                          c2(-1, Fraction(1, 2))])
+    pairs = random_poly_pairs(2, 4, 3, seed=5)
+    for _ in range(2):
+        for f, g in pairs:
+            for p in (f, g, f * g):
+                assert t.pull(p) == p.translate(t.shift)
+    rows = t._rows
+    assert rows[0] and rows[1]
+    assert t.pull(pairs[0][0]) == pairs[0][0].translate(t.shift)
+    assert t._rows is rows
+    degrees = max(max(e) for f, g in pairs for e in (f * g)._terms)
+    assert max(rows[0]) <= degrees and max(rows[1]) <= degrees
+
+
 def test_singular_chart_map_has_no_inverse():
     m = atlas.ChartMap([[c2(1, 1), c2(2)], [c2(1), c2(1, -1)]], [0, 0])
     with pytest.raises(InputError, match="matrix is singular"):

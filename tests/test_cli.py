@@ -435,6 +435,12 @@ def test_json_star_payload(capsys):
     assert payload["outputs"]["series"] == "z1*z2 - 1/2*i*h"
 
 
+SYM7 = ("(2+i) - i*q1*q2*q3*q4*q5*q6*q7 + (3-i)*p1*p2*p3*p4*p5*p6*p7"
+        " + i*q1*p2 - 2/3*q3^2 + (1/2-5/3*i)*p4*q5 + 3/5*i*p7"
+        " - 7*q2*p2^2 + i*p1^2*p2*q3")
+SYM8 = ("(1-i)*q1*p2*q3 + i + 4/9*p8^3 - i*q1*q2*q3*q4*q5*q6*q7*q8"
+        " - 3/2*q4*p4 + (2/3+i)*p1*p2*p3*p4*p5*p6*p7*p8")
+
 # SHA-256 of whole --json reports on the star and bracket paths; a change
 # in any printed coefficient or in the report's layout shows here
 PINNED_JSON = {
@@ -469,6 +475,21 @@ PINNED_JSON = {
                                "--order", "6", "--count", "3"),
                               "37d9f70289335c9c1cdf0fcd08d68776"
                               "9c7db237626eaa41a8d71540bc0f71b7"),
+    # orbit averages whose coefficients are real, imaginary and mixed,
+    # with imaginary part +-1 and denominators above 1
+    "symmetrize-7": (("symmetrize", "--n", "7", SYM7),
+                     "5460fb12bc53bf7c045c7bbf72a76825"
+                     "f3b1143b8aa344cc51e33b57efa19b6e"),
+    "symmetrize-8": (("symmetrize", "--n", "8", SYM8),
+                     "70eb5f3e120247200c38786d07a7a9de"
+                     "d0995c73d20e927d85bf002d0c8de6b5"),
+    "surface-ingest": (("surface-ingest", "tests/fixtures/octagon.json"),
+                       "c2ea21f25c39425c76f579e36f7c30aa"
+                       "3c8d4908512096dfcb7b0c357e63b961"),
+    "patch-check": (("patch-check", "--surface",
+                     "tests/fixtures/hexagon.json", "--count", "2"),
+                    "e6c3b8b2947037fe33b346d092710453"
+                    "e3c0e1a99b3917b2bb4a99fee2801a98"),
 }
 
 
@@ -480,6 +501,41 @@ def test_json_output_is_pinned(capsys, monkeypatch, name):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_symmetrize_text_is_pinned(capsys):
+    code, out, _ = run(capsys, "symmetrize", "--n", "7", SYM7)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3dea6afb6bb786cfa0a84259470f1347a6d247e569d137abc625a7931369e80e")
+
+
+def test_parser_is_reused_across_calls(capsys, monkeypatch):
+    # main() builds its parser on the first call and keeps it: commands
+    # run one after another in one process, an argparse error among
+    # them, each print what a fresh process prints
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ("star", "--order", "3", "z1", "z2"),
+        ("surface-ingest", "tests/fixtures/octagon.json", "--json"),
+        ("symmetrize", "--n", "2", "--bogus", "p1"),
+        ("bracket", "z1^2*z2", "z1"),
+        ("--help",),
+        ("symmetrize", "--help"),
+    ]
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "starkit.cli", *argv],
+                               capture_output=True, text=True,
+                               env=_child_env(COLUMNS="80"))
+        assert (code, out.out, out.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._parser() is cli._parser()
 
 
 def test_json_identical_across_hash_seeds():

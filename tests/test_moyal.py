@@ -424,6 +424,21 @@ def test_non_invariant_matrix_is_rejected():
         linear_action_check(s, [[2, 0], [0, 1]])
 
 
+def test_linear_action_check_refuses_no_cases():
+    # a report holding only the precondition would pass with no
+    # equivariance checked
+    s = sp2()
+    with pytest.raises(InputError, match="at least one pair"):
+        linear_action_check(s, [[1, 0], [0, 1]], cases=[], order=3)
+    with pytest.raises(InputError, match="at least one pair"):
+        linear_action_check(s, [[1, 0], [0, 1]], cases=iter(()), order=3)
+    rep = linear_action_check(s, [[1, 0], [0, 1]], order=3)
+    assert [e.name for e in rep.entries] == (
+        ["map preserves the bivector"]
+        + [f"equivariance[{k}]" for k in range(5)])
+    assert rep.passed
+
+
 def test_determinant_one_is_invariant_in_dim2():
     s = sp2()
     assert s.invariant_under([[2, 0], [0, Fraction(1, 2)]])

@@ -2,7 +2,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from starkit import _kernel as K
 from starkit import multi
 from starkit.corpus import random_permutations, random_poly, random_poly_pairs
 from starkit.errors import ArityError, InputError
@@ -156,6 +159,65 @@ def test_is_symmetric_needs_every_adjacent_swap():
     assert multi.permute_poly(swap23, f) != f
     assert not multi.is_symmetric(f)
     assert multi.is_symmetric(f + ps.zeta(3))
+
+
+def _fixed_by_adjacent_swaps(f):
+    """is_symmetric by its definition: every adjacent swap of copies,
+    applied to the whole polynomial, gives it back."""
+    n = f.arity // 2
+    return all(multi.permute_poly(multi.Permutation.transposition(
+        n, i, i + 1), f) == f for i in range(n - 1))
+
+
+_BLOCKS = st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 1)])
+_COEFFS = st.sampled_from([ExactComplex(1), ExactComplex(-1),
+                           ExactComplex(0, 1), ExactComplex(Fraction(1, 2), 2)])
+
+
+@st.composite
+def _near_symmetric(draw):
+    """A polynomial on 1..4 copies: as drawn, or its orbit average,
+    or that average with one term dropped (its swap images then miss)
+    or with one coefficient doubled (unequal on one orbit)."""
+    n = draw(st.integers(1, 4))
+    monomial = st.lists(_BLOCKS, min_size=n, max_size=n).map(
+        lambda blocks: tuple(x for b in blocks for x in b))
+    f = SparsePoly(2 * n, draw(st.dictionaries(monomial, _COEFFS,
+                                               max_size=4)))
+    if not draw(st.booleans()):
+        return f
+    terms = dict(multi.symmetrize(f)._terms)
+    edit = draw(st.sampled_from(["none", "drop", "double"]))
+    if terms and edit != "none":
+        e = draw(st.sampled_from(sorted(terms)))
+        if edit == "drop":
+            del terms[e]
+        else:
+            terms[e] = K.cmul(terms[e], (2, 1, 0, 1))
+    return SparsePoly._from_raw(2 * n, terms)
+
+
+@given(_near_symmetric())
+def test_is_symmetric_is_the_swap_definition(f):
+    assert multi.is_symmetric(f) == _fixed_by_adjacent_swaps(f)
+
+
+def test_is_symmetric_edge_cases():
+    # one copy: nothing to swap
+    assert multi.is_symmetric(SparsePoly(2, {(3, 1): 2}))
+    ps = multi.ProductSpace(3)
+    avg = multi.symmetrize(ps.zeta(1) * ps.lam(2))
+    assert multi.is_symmetric(avg)
+    # a swap image that is not a term
+    missing = dict(avg._terms)
+    del missing[(1, 0, 0, 1, 0, 0)]
+    assert not multi.is_symmetric(SparsePoly._from_raw(6, missing))
+    # every image present, one coefficient differs on the orbit
+    unequal = dict(avg._terms)
+    unequal[(0, 0, 1, 0, 0, 1)] = (1, 1, 0, 1)
+    assert not multi.is_symmetric(SparsePoly._from_raw(6, unequal))
+    with pytest.raises(ArityError):
+        multi.is_symmetric(SparsePoly(3, {(1, 0, 0): 1}))
 
 
 def test_symmetrize_fixes_symmetric_inputs():

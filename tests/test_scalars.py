@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from starkit.errors import InputError
-from starkit.scalars import ExactComplex, format_rational, parse_rational
+from starkit.parsing import parse_scalar
+from starkit.scalars import ExactComplex, format_ratio, parse_rational
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=16)
@@ -27,7 +28,7 @@ def test_parse_rational_rejects_garbage():
 
 @given(rationals)
 def test_format_parse_round_trip(q):
-    assert parse_rational(format_rational(q)) == q
+    assert parse_rational(format_ratio(q.numerator, q.denominator)) == q
 
 
 @given(complexes, complexes)
@@ -101,3 +102,18 @@ def test_str_forms():
     assert str(ExactComplex(1, -1)) == "1-i"
     assert str(ExactComplex(0, -2)) == "-2*i"
     assert str(ExactComplex(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*i"
+    assert str(ExactComplex(Fraction(-5, 3), 1)) == "-5/3+i"
+    assert str(ExactComplex(2, Fraction(7, 2))) == "2+7/2*i"
+
+
+@given(complexes)
+def test_str_parses_back(a):
+    assert parse_scalar(str(a)) == a
+
+
+def test_too_long_to_print_is_an_input_error():
+    huge = 10 ** 5000
+    with pytest.raises(InputError, match="too many to print"):
+        str(ExactComplex(Fraction(1, 3), huge))
+    with pytest.raises(InputError, match="too many to print"):
+        format_ratio(1, huge)

@@ -18,20 +18,31 @@ on packed maps, the integer form a computation keeps from start to end:
     key    = sum of e[j] << (width * j)    one bit field per variable
 
 ``lift`` puts each map's Gaussian-integer numerators over the lcm D of
-its denominators, and owns the width rule: 2^width exceeds the sum of
-the maps' largest exponents, so a product, which adds keys, never
-carries one field into the next.  A caller that forms longer products
-(powers, a substitution) passes the width its largest key needs.
+its denominators, and owns the width rule: a field is 8, 16, 32 or 64
+bits wide, the narrowest of these that holds the sum of the maps'
+largest exponents, so a product, which adds keys, never carries one
+field into the next.  A caller that forms longer products (powers, a
+substitution) passes the bit length its largest key needs, and lift
+rounds it up the same way; a key that would need fields wider than 64
+bits is an ``InputError``.  Since every field is whole bytes, a key is
+the little-endian bytes of its exponent tuple, so lift packs a term and
+``lower`` unpacks it in one C call each, whatever the number of
+variables: ``int.from_bytes(bytes(e))`` packs 8-bit fields,
+``struct.pack`` wider ones, and one ``struct.Struct`` per call unpacks
+every key.  ``lower`` takes the width lift returned.
 ``maddmul`` is the one loop over pairs of terms, ``mdiff`` multiplies
 numerators by the exponent and keeps D, and ``lower`` divides by the
-denominator the caller tracked, with one ``qnorm`` per part, dropping
-cancelled terms.  ``mmul`` is the three.
+positive denominator the caller tracked, with one gcd per part,
+dropping cancelled terms.  ``mmul`` is the three.
 
 Callers reach these functions as attributes of this module (``K.mmul``),
 so a tracer that rebinds an attribute sees every call from outside.
 """
 
 from math import gcd, lcm
+from struct import Struct, pack
+
+from ..errors import InputError
 
 CZERO = (0, 1, 0, 1)
 CONE = (1, 1, 0, 1)
@@ -119,38 +130,59 @@ def mscale(t, c):
     return out
 
 
+# each field width with its struct code (standard size, little-endian)
+_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _field_width(bits):
+    """The narrowest of 8, 16, 32 and 64 bits that holds bits."""
+    for width in _CODES:
+        if bits <= width:
+            return width
+    raise InputError(
+        f"exponents need {bits}-bit fields; the kernel packs at most 64")
+
+
 def lift(*maps, width=None):
     """(packed maps, product of their denominators, width), the width
-    being the bit length of the sum of each map's largest exponent unless
-    the caller gives one wide enough for every key it will form."""
+    being the field that holds the sum of each map's largest exponent,
+    or the bit length the caller gives for every key it will form,
+    rounded up to 8, 16, 32 or 64."""
     if width is None:
         width = sum(max(map(max, t), default=0) for t in maps).bit_length()
+    width = _field_width(width)
+    code = _CODES[width]
+    from_bytes = int.from_bytes
     packed = []
     den = 1
     for t in maps:
         d = lcm(*{x for c in t.values() for x in (c[1], c[3])})
-        out = {}
-        for e, (rn, rd, jn, jd) in t.items():
-            key = 0
-            for k in reversed(e):
-                key = key << width | k
-            out[key] = (rn * (d // rd), jn * (d // jd))
+        if width == 8:
+            out = {from_bytes(bytes(e), "little"):
+                   (rn * (d // rd), jn * (d // jd))
+                   for e, (rn, rd, jn, jd) in t.items()}
+        else:
+            out = {from_bytes(pack(f"<{len(e)}{code}", *e), "little"):
+                   (rn * (d // rd), jn * (d // jd))
+                   for e, (rn, rd, jn, jd) in t.items()}
         packed.append(out)
         den *= d
     return packed, den, width
 
 
 def lower(p, den, arity, width):
-    """The normalized term map of p / den; zero terms are dropped."""
-    mask = (1 << width) - 1
+    """The normalized term map of p / den, den positive; zero terms are
+    dropped.  width is the one lift returned."""
+    size = arity * width // 8
+    unpack = Struct(f"<{arity}{_CODES[width]}").unpack
     out = {}
     for key, (a, b) in p.items():
         if a or b:
-            e = []
-            for _ in range(arity):
-                e.append(key & mask)
-                key >>= width
-            out[tuple(e)] = qnorm(a, den) + qnorm(b, den)
+            # gcd(0, den) = den, so a zero part comes out as 0/1
+            ga = gcd(a, den)
+            gb = gcd(b, den)
+            out[unpack(key.to_bytes(size, "little"))] = (
+                a // ga, den // ga, b // gb, den // gb)
     return out
 
 

@@ -21,7 +21,12 @@ stands for k! / prod(m_p!) ordered index tuples sharing one derivative
 pair, so its h^k weight is prod(s_p^m_p) / prod(m_p!), where
 s_p = (i/2) pi_p is the step of entry p.  Each step differentiates its
 parent's two derivatives once more, and a branch ends as soon as either
-is zero, since every further derivative of zero is zero.
+is zero, since every further derivative of zero is zero.  A node reads
+which variables its two derivatives hold from the OR of their packed
+keys, one support mask each, and passes over every entry whose first
+variable is missing from the one or whose second is missing from the
+other, without differentiating: on a block bivector of a product space
+a node's terms touch few copies, so most entries are passed over.
 
 The walk runs on integers (see ``starkit._kernel`` for packed maps),
 and one walk serves a whole series product, sum_j h^j f_j times
@@ -47,7 +52,9 @@ coefficient is normalized once.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import factorial, lcm
+from operator import or_
 
 from . import _kernel as K
 from . import linalg
@@ -187,7 +194,10 @@ class StarProduct:
         hcaps = fmax or gmax
         (lf, lg), den, width = K.lift(_with_h(fs, jf), _with_h(gs, jg))
         hshift = dim * width
-        pairs = self._pairs
+        # each entry with the masks of its two variables' fields in a key
+        field = (1 << width) - 1
+        pairs = [(a, b, sr, si, field << a * width, field << b * width)
+                 for a, b, sr, si in self._pairs]
         accs = [K.maddmul({}, lf, lg, 1, 0)] + [{} for _ in range(top)]
         # (depth, last entry picked, its multiplicity, weight numerator,
         #  multinomial count, the two derivatives, their largest h-degrees)
@@ -208,15 +218,17 @@ class StarProduct:
                     hb = cap
                 if not da or not db:
                     continue
+            # a field of the OR of the keys is nonzero exactly when some
+            # term has that variable, so its derivative is not zero
+            ora = reduce(or_, da, 0)
+            orb = reduce(or_, db, 0)
             children = []
             for p in range(last, len(pairs)):
-                a, b, sr, si = pairs[p]
+                a, b, sr, si, ma, mb = pairs[p]
+                if not (ora & ma and orb & mb):
+                    continue
                 da2 = K.mdiff(da, a, width)
-                if not da2:
-                    continue
                 db2 = K.mdiff(db, b, width)
-                if not db2:
-                    continue
                 m = mult + 1 if p == last else 1
                 nr, ni = wr * sr - wi * si, wr * si + wi * sr
                 c = cnt * (depth + 1) // m

@@ -23,7 +23,9 @@ the residual helpers below return the exact polynomial that must vanish.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
+from operator import or_
 
 from . import _kernel as K
 from . import linalg
@@ -108,17 +110,26 @@ class PoissonBivector:
 
     def bracket(self, f: SparsePoly, g: SparsePoly) -> SparsePoly:
         """{f, g} = sum pi_ab (df/dz_a)(dg/dz_b), over packed maps: f and g
-        are lifted once, differentiated only where some entry needs it,
-        summed in integers over Df Dg D_pi and normalized once."""
+        are lifted once, differentiated only in the variables they hold
+        that some entry needs, summed in integers over Df Dg D_pi and
+        normalized once."""
         if f.arity != self.dim or g.arity != self.dim:
             raise ArityError(
                 f"bracket needs arity {self.dim}, got {f.arity} and {g.arity}")
         (lf, lg), den, width = K.lift(f._terms, g._terms)
-        df = {a: K.mdiff(lf, a, width) for a in {p[0] for p in self._pairs}}
-        dg = {b: K.mdiff(lg, b, width) for b in {p[1] for p in self._pairs}}
+        # a field of the OR of the keys is nonzero exactly when some term
+        # has that variable; the other derivatives are zero
+        field = (1 << width) - 1
+        ora = reduce(or_, lf, 0)
+        orb = reduce(or_, lg, 0)
+        df = {a: K.mdiff(lf, a, width) for a in {p[0] for p in self._pairs}
+              if ora >> a * width & field}
+        dg = {b: K.mdiff(lg, b, width) for b in {p[1] for p in self._pairs}
+              if orb >> b * width & field}
         acc: dict = {}
         for a, b, wr, wi in self._pairs:
-            K.maddmul(acc, df[a], dg[b], wr, wi)
+            if a in df and b in dg:
+                K.maddmul(acc, df[a], dg[b], wr, wi)
         return SparsePoly._from_raw(
             self.dim, K.lower(acc, den * self._den, self.dim, width))
 

@@ -39,6 +39,11 @@ def _binomial_weights(c, k: int) -> list:
     return row
 
 
+def _check_arity(arity: int) -> None:
+    if arity < 1:
+        raise ArityError(f"arity must be >= 1, got {arity}")
+
+
 def _coerce_coeff(value):
     if isinstance(value, (ExactComplex, int, Fraction)):
         return ExactComplex.coerce(value).to_kernel()
@@ -50,26 +55,22 @@ class SparsePoly:
 
     __slots__ = ("arity", "_terms", "_hash")
 
-    def __init__(self, arity: int, terms: Mapping | None = None, *, _raw=None):
-        if arity < 1:
-            raise ArityError(f"arity must be >= 1, got {arity}")
+    def __init__(self, arity: int, terms: Mapping | None = None):
+        _check_arity(arity)
+        raw = {}
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != arity:
+                raise ArityError(
+                    f"exponent vector {exps} has length {len(exps)}, expected {arity}")
+            if any(e < 0 or not isinstance(e, int) for e in exps):
+                raise ArityError(f"exponents must be nonnegative ints: {exps}")
+            c = _coerce_coeff(coeff)
+            if c[0] != 0 or c[2] != 0:
+                raw[exps] = K.cadd(raw[exps], c) if exps in raw else c
         object.__setattr__(self, "arity", arity)
-        if _raw is not None:
-            object.__setattr__(self, "_terms", _raw)
-        else:
-            raw = {}
-            for exps, coeff in (terms or {}).items():
-                exps = tuple(exps)
-                if len(exps) != arity:
-                    raise ArityError(
-                        f"exponent vector {exps} has length {len(exps)}, expected {arity}")
-                if any(e < 0 or not isinstance(e, int) for e in exps):
-                    raise ArityError(f"exponents must be nonnegative ints: {exps}")
-                c = _coerce_coeff(coeff)
-                if c[0] != 0 or c[2] != 0:
-                    raw[exps] = K.cadd(raw[exps], c) if exps in raw else c
-            object.__setattr__(self, "_terms", {
-                e: c for e, c in raw.items() if c[0] != 0 or c[2] != 0})
+        object.__setattr__(self, "_terms", {
+            e: c for e, c in raw.items() if c[0] != 0 or c[2] != 0})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -79,14 +80,16 @@ class SparsePoly:
 
     @classmethod
     def zero(cls, arity: int) -> "SparsePoly":
-        return cls(arity, _raw={})
+        _check_arity(arity)
+        return cls._from_raw(arity, {})
 
     @classmethod
     def const(cls, arity: int, value) -> "SparsePoly":
+        _check_arity(arity)
         c = _coerce_coeff(value)
         if c[0] == 0 and c[2] == 0:
-            return cls(arity, _raw={})
-        return cls(arity, _raw={(0,) * arity: c})
+            return cls._from_raw(arity, {})
+        return cls._from_raw(arity, {(0,) * arity: c})
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "SparsePoly":
@@ -94,11 +97,18 @@ class SparsePoly:
         if not 1 <= index <= arity:
             raise ArityError(f"variable index {index} out of range 1..{arity}")
         exps = tuple(1 if k == index - 1 else 0 for k in range(arity))
-        return cls(arity, _raw={exps: K.CONE})
+        return cls._from_raw(arity, {exps: K.CONE})
 
     @classmethod
     def _from_raw(cls, arity: int, raw: dict) -> "SparsePoly":
-        return cls(arity, _raw=raw)
+        """A polynomial on a term map the caller vouches for: normalized
+        nonzero kernel coefficients on exponent tuples of length arity.
+        Nothing is validated or copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "arity", arity)
+        object.__setattr__(out, "_terms", raw)
+        object.__setattr__(out, "_hash", None)
+        return out
 
     # -- inspection --------------------------------------------------------
 
@@ -219,17 +229,18 @@ class SparsePoly:
                 raise ArityError("substitution polynomials disagree on arity")
         tops = [max(e[j] for e in self._terms) if self._terms else 0
                 for j in range(self.arity)]
-        width = max((sum(e[j] * max(map(max, g._terms), default=0)
-                         for j, g in enumerate(gs))
-                     for e in self._terms), default=0).bit_length()
+        need = max((sum(e[j] * max(map(max, g._terms), default=0)
+                        for j, g in enumerate(gs))
+                    for e in self._terms), default=0).bit_length()
         # lift keeps the order of self's terms, and its own width keeps
-        # their keys apart, so the numerators pair up with the exponents
+        # their keys apart, so the numerators pair up with the exponents;
+        # the powers' fields are the ones lift rounds need up to
         (terms,), den, _ = K.lift(self._terms)
         unit = {0: (1, 0)}
         powers = []
         scales = []
         for g, top in zip(gs, tops):
-            (p,), d, _ = K.lift(g._terms, width=width)
+            (p,), d, width = K.lift(g._terms, width=need)
             row = [unit, p]
             while len(row) <= top:
                 row.append(K.maddmul({}, row[-1], p, 1, 0))

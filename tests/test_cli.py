@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -8,6 +10,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starkit
 from starkit import cli
@@ -413,6 +417,26 @@ def test_malformed_expression_is_exit_2(capsys):
     code, _, err = run(capsys, "star", "0.5*z1", "z2")
     assert code == 2
     assert "exact rational" in err
+
+
+# expression text from a small alphabet: the parser must answer every
+# string with a result (exit 0) or a malformed-input error (exit 2)
+EXPRESSION_TOKENS = list("0123456789+-*^() ") + ["z1", "z2", "q1", "p1", "h"]
+expressions = st.lists(st.sampled_from(EXPRESSION_TOKENS), max_size=12).map(
+    "".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions, expressions)
+def test_every_expression_exits_0_or_2(f, g):
+    # "--" ends the options, so a leading "-" reaches the expression parser
+    for argv in (["star", "--", f, g],
+                 ["product-star", "--n", "2", "--", f, g]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 2), (argv, code)
+        assert (code == 2) == err.getvalue().startswith("error: "), argv
 
 
 def test_json_reports_are_deterministic(capsys):

@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starkit
 from starkit import _kernel as K
+from starkit.errors import InputError
 
 
 def norm_coeff(raw):
@@ -116,14 +118,51 @@ def test_lift_then_lower_gives_back_the_map(t1, t2):
     (p1, p2), den, width = K.lift(t1, t2)
     d1, d2 = lcm_of_denominators(t1), lcm_of_denominators(t2)
     assert den == d1 * d2
-    # the fields hold the sum of the two maps' largest exponents
-    assert width == (max(map(max, t1), default=0)
-                     + max(map(max, t2), default=0)).bit_length()
+    # the fields are the narrowest of 8, 16, 32 and 64 bits that hold the
+    # sum of the two maps' largest exponents
+    need = (max(map(max, t1), default=0)
+            + max(map(max, t2), default=0)).bit_length()
+    assert width == min(w for w in (8, 16, 32, 64) if w >= need)
     assert K.lower(p1, d1, 2, width) == t1
     assert K.lower(p2, d2, 2, width) == t2
     assert unpack(p1, d1, width) == as_fraction_map(t1)
     (p,), d, w = K.lift(t1)
     assert K.lower(p, d, 2, w) == t1
+
+
+@pytest.mark.parametrize("arity", [20, 128])
+@pytest.mark.parametrize("top, width", [(255, 8), (256, 16), (70_000, 32),
+                                        (2 ** 40, 64)])
+def test_lift_then_lower_gives_back_wide_maps(arity, top, width):
+    # the largest exponent sits in the first, a middle and the last
+    # variable, beside small and zero exponents
+    t = {}
+    for j, var in enumerate((0, arity // 2, arity - 1)):
+        e = [(v * 7 + j) % 5 for v in range(arity)]
+        e[var] = top
+        t[tuple(e)] = (2 * j + 1, j + 2, -j, 1)
+    t[(0,) * arity] = (0, 1, 1, 3)
+    t = {e: norm_coeff(c) for e, c in t.items()}
+    (p,), den, w = K.lift(t)
+    assert w == width
+    assert K.lower(p, den, arity, w) == t
+    assert unpack(p, den, w, arity) == as_fraction_map(t)
+
+
+def test_keys_past_64_bit_fields_are_refused():
+    t = {(2 ** 64, 0): (1, 1, 0, 1)}
+    with pytest.raises(InputError, match="64"):
+        K.lift(t)
+    # a sum of largest exponents past 64 bits is refused the same way
+    half = {(2 ** 63, 1): (1, 1, 0, 1)}
+    assert K.lift(half)[2] == 64
+    with pytest.raises(InputError, match="64"):
+        K.lift(half, half)
+    with pytest.raises(InputError, match="64"):
+        K.lift({(1, 1): (1, 1, 0, 1)}, width=65)
+    big = starkit.SparsePoly(2, {(2 ** 63, 0): 1})
+    with pytest.raises(InputError, match="64"):
+        big * big
 
 
 @settings(max_examples=40)

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starkit import _kernel as K
 from starkit.corpus import (random_poly, random_poly_pairs,
                             random_poly_triples, random_sl2_matrices,
                             random_translations)
@@ -13,6 +14,7 @@ from starkit.errors import InputError
 from starkit.moyal import (StarProduct, linear_action_check,
                            translation_equivariance_check, verify_dq_axioms,
                            verify_star_axioms)
+from starkit.multi import ProductSpace
 from starkit.poisson import PoissonBivector, SymplecticForm
 from starkit.poly import SparsePoly
 from starkit.scalars import ExactComplex
@@ -244,6 +246,12 @@ def test_packed_fields_hold_the_exponent_sums(pairs):
                          + mono(1, z1=65, z37=64, z38=1))
         assert s.bracket(f, g) == mono(65, z1=128) + mono(65, z37=128)
     assert_normalized(HbarSeries([f * g, s.bracket(f, g)]))
+    # 128 + 128 needs 9 bits, so the fields widen from 8 to 16
+    f, g = z[1] ** 128, z[1] ** 128 * z[2]
+    assert K.lift(f._terms, g._terms)[2] == 16
+    assert s.star(f, g) == HbarSeries([mono(1, z1=256, z2=1),
+                                       mono(I * -64, z1=255),
+                                       SparsePoly.zero(n), SparsePoly.zero(n)])
 
 
 def test_deep_walk_closed_form():
@@ -355,6 +363,81 @@ def test_star_series_is_the_per_pair_sum(form, f_degrees, g_degrees, seed):
     assert got.order == min(F.order, G.order)
     assert_normalized(got)
     assert got == _per_pair_star(s)(F, G)
+
+
+def copy_supported(arity, variables, degree, seed):
+    """A seeded polynomial of the given degree in the listed variables
+    (1-based) only, as a polynomial of the given arity."""
+    return random_poly(len(variables), degree, seed).subst(
+        [SparsePoly.variable(arity, v) for v in variables])
+
+
+def supported_series(arity, supports, seed):
+    """sum_j h^j f_j with f_j seeded in the variables supports[j]; None is
+    a zero coefficient."""
+    return HbarSeries([SparsePoly.zero(arity) if v is None
+                       else copy_supported(arity, v, 2, seed + j)
+                       for j, v in enumerate(supports)])
+
+
+# copy i holds z_(2i-1) and z_2i; each support misses whole copies, and
+# some miss one variable of a copy they touch
+@pytest.mark.parametrize("f_supports, g_supports", [
+    # f in copies 1-2, g in copies 2-3
+    ([(1, 2, 3), None, (2, 4), (1,)], [(3, 4, 6), (4, 5), (3, 4, 5, 6)]),
+    # f in copy 1, g in copy 3: no entry meets both, the product is f g
+    ([(1, 2), (2,)], [(5, 6), (5,)]),
+    # one variable each, of one pair
+    ([(3,), (3,)], [(4,), None, (4,)]),
+], ids=["overlapping-copies", "disjoint-copies", "one-pair"])
+@pytest.mark.parametrize("copies", [3, 4, 5, 6])
+def test_star_series_on_copy_supports_is_the_per_pair_sum(copies, f_supports,
+                                                          g_supports):
+    s = StarProduct.standard(copies, 4)
+    n = 2 * copies
+    F = supported_series(n, f_supports, 10 * copies)
+    G = supported_series(n, g_supports, 10 * copies + 5)
+    got = s.star_series(F, G)
+    assert_normalized(got)
+    assert got == _per_pair_star(s)(F, G)
+
+
+def test_walk_differentiates_only_where_a_derivative_is_not_zero(monkeypatch):
+    ps = ProductSpace(5, 6)
+    z, lam = ps.zeta, ps.lam
+    f = z(1) ** 2 * lam(1) + z(2) * lam(2) ** 2 + z(3) ** 3 + lam(5)
+    g = lam(1) ** 2 + z(2) * lam(2) * z(3) + lam(3) ** 2 + z(4)
+    F = HbarSeries([f, lam(2), z(1) * lam(3)] + [SparsePoly.zero(10)] * 4)
+    G = HbarSeries([g, z(3) ** 2, lam(1) * z(2)] + [SparsePoly.zero(10)] * 4)
+    results = []
+    inside = []
+    mdiff, bidiff, bracket = K.mdiff, StarProduct._bidiff, \
+        PoissonBivector.bracket
+
+    def traced_mdiff(p, var, width):
+        out = mdiff(p, var, width)
+        if inside:
+            results.append(out)
+        return out
+
+    def scoped(fn):
+        def run(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(K, "mdiff", traced_mdiff)
+    monkeypatch.setattr(StarProduct, "_bidiff", scoped(bidiff))
+    monkeypatch.setattr(PoissonBivector, "bracket", scoped(bracket))
+    ps.star.star(f, g)
+    ps.star.star_series(F, G)
+    ps.star.bracket(f, g)
+    # the walk and the bracket did differentiate, and never to zero
+    assert len(results) > 20
+    assert all(results)
 
 
 def test_star_series_of_zero_series_is_zero():

@@ -27,9 +27,10 @@ rounds it up the same way; a key that would need fields wider than 64
 bits is an ``InputError``.  Since every field is whole bytes, a key is
 the little-endian bytes of its exponent tuple, so lift packs a term and
 ``lower`` unpacks it in one C call each, whatever the number of
-variables: ``int.from_bytes(bytes(e))`` packs 8-bit fields,
-``struct.pack`` wider ones, and one ``struct.Struct`` per call unpacks
-every key.  ``lower`` takes the width lift returned.
+variables, through one ``struct.Struct`` of the map's arity and field
+width.  ``lower`` takes the width lift returned, and ``fields`` gives
+the mask of each variable's field, so a caller learns which variables
+a packed map holds from the OR of its keys without knowing the layout.
 ``maddmul`` is the one loop over pairs of terms, ``mdiff`` multiplies
 numerators by the exponent and keeps D, and ``lower`` divides by the
 positive denominator the caller tracked, with one gcd per part,
@@ -39,8 +40,9 @@ Callers reach these functions as attributes of this module (``K.mmul``),
 so a tracer that rebinds an attribute sees every call from outside.
 """
 
+from functools import lru_cache
 from math import gcd, lcm
-from struct import Struct, pack
+from struct import Struct
 
 from ..errors import InputError
 
@@ -147,7 +149,7 @@ def lift(*maps, width=None):
     """(packed maps, product of their denominators, width), the width
     being the field that holds the sum of each map's largest exponent,
     or the bit length the caller gives for every key it will form,
-    rounded up to 8, 16, 32 or 64."""
+    rounded up to 8, 16, 32 or 64.  The keys of one map share a length."""
     if width is None:
         width = sum(max(map(max, t), default=0) for t in maps).bit_length()
     width = _field_width(width)
@@ -157,17 +159,20 @@ def lift(*maps, width=None):
     den = 1
     for t in maps:
         d = lcm(*{x for c in t.values() for x in (c[1], c[3])})
-        if width == 8:
-            out = {from_bytes(bytes(e), "little"):
-                   (rn * (d // rd), jn * (d // jd))
-                   for e, (rn, rd, jn, jd) in t.items()}
-        else:
-            out = {from_bytes(pack(f"<{len(e)}{code}", *e), "little"):
-                   (rn * (d // rd), jn * (d // jd))
-                   for e, (rn, rd, jn, jd) in t.items()}
-        packed.append(out)
+        pack = Struct(f"<{len(next(iter(t), ()))}{code}").pack
+        packed.append({from_bytes(pack(*e), "little"):
+                       (rn * (d // rd), jn * (d // jd))
+                       for e, (rn, rd, jn, jd) in t.items()})
         den *= d
     return packed, den, width
+
+
+@lru_cache(maxsize=64)
+def fields(arity, width):
+    """The mask of each variable's field in a key, by variable: a key, or
+    an OR of keys, holds variable j exactly where it meets fields[j]."""
+    field = (1 << width) - 1
+    return tuple(field << j * width for j in range(arity))
 
 
 def lower(p, den, arity, width):

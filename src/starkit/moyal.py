@@ -111,11 +111,11 @@ def _by_h_power(accs, order: int, top: int, ds: int, hshift: int) -> list:
 
 def _with_h(coeffs, js) -> dict:
     """One term map for sum over j in js of h^j coeffs[j]: a term of h^j
-    keys on its exponents followed by j, an h^0 term on its exponents."""
+    keys on its exponents followed by j, so every key of the map has the
+    same length."""
     if js == [0]:
         return coeffs[0]._terms
-    return {e + (j,) if j else e: c
-            for j in js for e, c in coeffs[j]._terms.items()}
+    return {e + (j,): c for j in js for e, c in coeffs[j]._terms.items()}
 
 
 class StarProduct:
@@ -195,8 +195,8 @@ class StarProduct:
         (lf, lg), den, width = K.lift(_with_h(fs, jf), _with_h(gs, jg))
         hshift = dim * width
         # each entry with the masks of its two variables' fields in a key
-        field = (1 << width) - 1
-        pairs = [(a, b, sr, si, field << a * width, field << b * width)
+        masks = K.fields(dim, width)
+        pairs = [(a, b, sr, si, masks[a], masks[b])
                  for a, b, sr, si in self._pairs]
         accs = [K.maddmul({}, lf, lg, 1, 0)] + [{} for _ in range(top)]
         # (depth, last entry picked, its multiplicity, weight numerator,

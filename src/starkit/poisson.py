@@ -119,13 +119,13 @@ class PoissonBivector:
         (lf, lg), den, width = K.lift(f._terms, g._terms)
         # a field of the OR of the keys is nonzero exactly when some term
         # has that variable; the other derivatives are zero
-        field = (1 << width) - 1
+        masks = K.fields(self.dim, width)
         ora = reduce(or_, lf, 0)
         orb = reduce(or_, lg, 0)
         df = {a: K.mdiff(lf, a, width) for a in {p[0] for p in self._pairs}
-              if ora >> a * width & field}
+              if ora & masks[a]}
         dg = {b: K.mdiff(lg, b, width) for b in {p[1] for p in self._pairs}
-              if orb >> b * width & field}
+              if orb & masks[b]}
         acc: dict = {}
         for a, b, wr, wi in self._pairs:
             if a in df and b in dg:

@@ -229,17 +229,27 @@ class SparsePoly:
                 raise ArityError("substitution polynomials disagree on arity")
         tops = [max(e[j] for e in self._terms) if self._terms else 0
                 for j in range(self.arity)]
+        if not any(tops):
+            # self is zero or a constant: no g_j is used
+            return SparsePoly._from_raw(
+                new_arity, {(0,) * new_arity: c for c in self._terms.values()})
         need = max((sum(e[j] * max(map(max, g._terms), default=0)
                         for j, g in enumerate(gs))
                     for e in self._terms), default=0).bit_length()
         # lift keeps the order of self's terms, and its own width keeps
         # their keys apart, so the numerators pair up with the exponents;
-        # the powers' fields are the ones lift rounds need up to
+        # the powers' fields are the ones lift rounds need up to.  need
+        # bounds only the g_j of variables that occur in self, so the
+        # others are never lifted: their row is the unit alone
         (terms,), den, _ = K.lift(self._terms)
         unit = {0: (1, 0)}
         powers = []
         scales = []
         for g, top in zip(gs, tops):
+            if not top:
+                powers.append([unit])
+                scales.append([1])
+                continue
             (p,), d, width = K.lift(g._terms, width=need)
             row = [unit, p]
             while len(row) <= top:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starkit.corpus import random_poly, random_translations
-from starkit.errors import ArityError
+from starkit.errors import ArityError, InputError
 from starkit.parsing import parse_poly
 from starkit.poly import SparsePoly, grlex_key
 from starkit.scalars import ExactComplex
@@ -132,6 +132,25 @@ def test_subst_into_zero_and_constant():
     gs = _parsed(["1/3*z1 + z2", "z1^2"], 2)
     assert SparsePoly.zero(2).subst(gs).is_zero()
     assert c(Fraction(4, 9)).subst(gs) == c(Fraction(4, 9))
+
+
+@pytest.mark.parametrize("top", [256, 70_000, 2 ** 70])
+def test_subst_ignores_the_exponents_of_unused_polynomials(top):
+    # only the g_j of variables that occur in self size the packed
+    # fields, so a g_j of any degree for an absent variable is harmless
+    w = SparsePoly.variable(1, 1)
+    wide = SparsePoly(1, {(top,): 3})
+    assert SparsePoly.zero(1).subst([wide]).is_zero()
+    assert SparsePoly.const(1, 5).subst([wide]) == SparsePoly.const(1, 5)
+    f = v(1) ** 2 - Fraction(1, 3) * v(1) + 2
+    assert f.subst([w, wide]) == w ** 2 - Fraction(1, 3) * w + 2
+    if 2 * top < 2 ** 64:
+        assert f.subst([wide, w]) == (
+            SparsePoly(1, {(2 * top,): 9, (top,): -1, (0,): 2}))
+    else:
+        # used, the same g_j needs fields past 64 bits
+        with pytest.raises(InputError, match="64"):
+            f.subst([wide, w])
 
 
 @settings(max_examples=20)

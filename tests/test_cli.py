@@ -527,6 +527,45 @@ def test_json_output_is_pinned(capsys, monkeypatch, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the text and the --json report, with the exit code, of runs
+# whose report carries extra outputs or whose map gate fails
+PINNED_RUNS = {
+    "product-star-rank-genus": (
+        ("product-star", "--rank", "2", "--genus", "2", "--order", "3",
+         "q1*p1", "p1^2"), 0,
+        "7d2f80dff0ae83841e421d17b62db88f8144ab8f9b58fbd51dd2e63388739782",
+        "a6bdc442fe9b51ea6824804b40b096b2acd33e37f4322c74a6e3e9f4da45931d"),
+    "transport-scale": (
+        ("transport", "--map", "tests/fixtures/scale_map.json", "z1", "z2"),
+        1,
+        "1bc06786d0ce188af0c18d69098c213e1e79e53bd129723ac003634793b0dd0c",
+        "8f9ebcd03bda2fb173ce62a6d3df936692f24f236e5e4f328c04b124ec848bcb"),
+    "verify-transport-scale": (
+        ("verify-transport", "--map", "tests/fixtures/scale_map.json"), 1,
+        "269335296446d8215ffc47fd8101178b79e429429af6c80bd009fa127f3ce9c6",
+        "3f1cfdf2fdfbc13fe95e51dd1f82f4e53ce5e02f366bef6a84ff9018caca7b50"),
+    "transport-broken": (
+        ("transport", "--map", "tests/fixtures/broken_map.json", "z1", "z2"),
+        1,
+        "4ea0a4eec8375ca7ca302759f51793ea6a2467debd02c6ffd6f91655bcc4de3d",
+        "1c1ebdae09da3296b07e3a1b778a081eeb81bb56f6008f02bf0102dee464fe62"),
+    "verify-transport-broken": (
+        ("verify-transport", "--map", "tests/fixtures/broken_map.json"), 1,
+        "0b6dc648bb9c8734d69a408e21a98a79cf6d23289e00f901cb963c814be1df3e",
+        "4767e2fdeabf74d24786c7c0ee23d427d1a2bda21fe9350b0e72f0ca6254abda"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_text_and_json_runs_are_pinned(capsys, monkeypatch, name):
+    argv, exit_code, text_digest, json_digest = PINNED_RUNS[name]
+    monkeypatch.chdir(REPO_ROOT)
+    for extra, digest in (((), text_digest), (("--json",), json_digest)):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
 def test_symmetrize_text_is_pinned(capsys):
     code, out, _ = run(capsys, "symmetrize", "--n", "7", SYM7)
     assert code == 0

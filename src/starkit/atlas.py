@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import ArityError, InputError, load_json
+from .errors import ArityError, Immutable, InputError, load_json
 from .moyal import StarProduct
 from .poisson import SymplecticForm
 from .poly import SparsePoly
@@ -57,7 +57,7 @@ def _require_real_rational(value, what: str) -> Fraction:
     raise InputError(f"{what} must be an exact rational \"p/q\" string")
 
 
-class PolygonGluing:
+class PolygonGluing(Immutable):
     """Raw gluing data: edge vectors in ccw order plus an edge pairing."""
 
     __slots__ = ("edges", "pairing")
@@ -74,9 +74,6 @@ class PolygonGluing:
             pairs.append((i, j) if i <= j else (j, i))
         object.__setattr__(self, "edges", self_edges)
         object.__setattr__(self, "pairing", tuple(sorted(pairs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolygonGluing is immutable")
 
     @classmethod
     def from_json(cls, data) -> "PolygonGluing":
@@ -108,7 +105,7 @@ class PolygonGluing:
 _IDENTITY = linalg.identity(2)
 
 
-class ChartMap:
+class ChartMap(Immutable):
     """Affine chart change on (zeta, lambda), stored as v -> A v + s."""
 
     __slots__ = ("matrix", "shift", "_shift_k", "_translation", "_inverse",
@@ -129,9 +126,6 @@ class ChartMap:
         # the Taylor-shift weights per shift component and degree, filled
         # by pull() as degrees come up
         object.__setattr__(self, "_rows", ({}, {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChartMap is immutable")
 
     @classmethod
     def translation(cls, c) -> "ChartMap":
@@ -204,7 +198,7 @@ class Overlap:
         return self.transition.shift[0]
 
 
-class TranslationSurface:
+class TranslationSurface(Immutable):
     """Ingested surface: combinatorics, stratum data, charts, overlaps."""
 
     __slots__ = ("edges", "pairing", "involution", "vertices", "translations",
@@ -214,9 +208,6 @@ class TranslationSurface:
     def __init__(self, **fields):
         for name in TranslationSurface.__slots__:
             object.__setattr__(self, name, fields[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TranslationSurface is immutable")
 
     def chart(self, name: str) -> Chart:
         for chart in self.charts:
@@ -493,6 +484,15 @@ def chart_star(surface: TranslationSurface, chart_name: str,
     return _CHART_STAR.star(f, g, order)
 
 
+def _overrides(surface: TranslationSurface, overrides: dict | None) -> dict:
+    """overrides, or {} for None, after refusing a label that names no
+    overlap component: it would replace nothing."""
+    for label in overrides or {}:
+        # as text, so that a (src, dst) pair is not taken for a label
+        surface.find_overlap(str(label))
+    return overrides or {}
+
+
 def liouville_pullback_check(surface: TranslationSurface,
                              overrides: dict | None = None) -> Report:
     """Every chart transition must preserve the chart symplectic form.
@@ -501,7 +501,7 @@ def liouville_pullback_check(surface: TranslationSurface,
     caller probe how a corrupted transition is reported.
     """
     rep = Report("cotangent transitions preserve the form")
-    overrides = overrides or {}
+    overrides = _overrides(surface, overrides)
     for ov in surface.overlaps:
         transition = overrides.get(ov.component, ov.transition)
         residual = transition.symplectic_residual(_CHART_FORM)
@@ -516,7 +516,7 @@ def cocycle_check(surface: TranslationSurface,
                   overrides: dict | None = None) -> Report:
     """Around every corner, base->edge1->edge2 must equal base->edge2."""
     rep = Report("overlap cocycle")
-    overrides = overrides or {}
+    overrides = _overrides(surface, overrides)
 
     def lookup(component: str) -> ChartMap:
         if component in overrides:
@@ -555,8 +555,6 @@ def overlap_agreement_check(surface: TranslationSurface, overlap, f, g,
     back = forward.inverse()
     remote = chart_star(surface, ov.dst, back.pull(f), back.pull(g), order)
     returned = remote.map_coeffs(ov.transition.pull)
-    ok = direct == returned
     rep = Report("overlap agreement")
-    rep.add(f"{ov.src}->{ov.dst} [{ov.component}]", ok,
-            "" if ok else f"difference {direct - returned}")
+    rep.add_equal(f"{ov.src}->{ov.dst} [{ov.component}]", direct, returned)
     return rep

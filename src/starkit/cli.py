@@ -5,6 +5,14 @@ run report with --json.  Exit codes: 0 when all checks pass, 1 when a
 check fails, 2 for malformed input of any kind (bad expression, bad
 file, bad flag combination).
 
+Every command ends in _emit, which builds the report: "command" is the
+subcommand, "inputs" every parsed argument that is set (product-star
+adds the copies it used as n, and rank, genus and delta), "outputs" the
+command's results, "checks" and "passed" its Report, if it has one (for
+transport, the map gate), and "corpus_version" that of the seeded case
+generator.  The text prints the command's lines, then, when there is a
+Report and no outputs, the Report's summary and pass or fail.
+
 The argument parser is built on the first main() call and kept for the
 rest of the process, so a program that calls main() many times builds
 it once; importing the module builds nothing.
@@ -56,28 +64,33 @@ def _load_form(name: str) -> SymplecticForm:
 
 
 def _product_names(copies: int):
-    names = []
-    for i in range(1, copies + 1):
-        names.extend((f"q{i}", f"p{i}"))
-    return tuple(names)
+    return tuple(f"{c}{i}" for i in range(1, copies + 1) for c in "qp")
 
 
-def _emit(args, payload: dict, lines: list) -> None:
+def _emit(args, lines: list, outputs: dict | None = None,
+          report: Report | None = None, **inputs) -> int:
+    """Print the run report, as text or as JSON with --json, and return
+    the exit code: 1 when the report failed, else 0.  The module
+    docstring says where each field comes from."""
+    payload = {"command": args.command,
+               "inputs": {k: v for k, v in vars(args).items()
+                          if k not in ("command", "func", "json")
+                          and v is not None} | inputs}
+    if outputs is not None:
+        payload["outputs"] = outputs
+    if report is not None:
+        payload["checks"] = report.to_dict()
+        payload["passed"] = report.passed
+        if outputs is None:
+            lines = [*lines, *report.summary_lines(),
+                     "pass" if report.passed else "fail"]
     if args.json:
-        payload.setdefault("corpus_version", corpus.CORPUS_VERSION)
+        payload["corpus_version"] = corpus.CORPUS_VERSION
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in lines:
             print(line)
-
-
-def _finish_check(args, payload: dict, report: Report, lines: list) -> int:
-    payload["checks"] = report.to_dict()
-    payload["passed"] = report.passed
-    lines.extend(report.summary_lines())
-    lines.append("pass" if report.passed else "fail")
-    _emit(args, payload, lines)
-    return 0 if report.passed else 1
+    return 0 if report is None or report.passed else 1
 
 
 def cmd_star(args) -> int:
@@ -85,68 +98,40 @@ def cmd_star(args) -> int:
     sp = StarProduct.from_form(form, args.order)
     F = parse_expr(args.f, form.dim, args.order)
     G = parse_expr(args.g, form.dim, args.order)
-    result = sp.star_series(F, G)
-    text = series_to_str(result)
-    payload = {
-        "command": "star",
-        "inputs": {"form": args.form, "order": args.order,
-                   "f": args.f, "g": args.g},
-        "outputs": {"series": text},
-    }
-    _emit(args, payload, [text])
-    return 0
+    text = series_to_str(sp.star_series(F, G))
+    return _emit(args, [text], {"series": text})
 
 
 def cmd_bracket(args) -> int:
     form = _load_form(args.form)
-    biv = bivector_from_form(form)
     f = parse_poly(args.f, form.dim)
     g = parse_poly(args.g, form.dim)
-    result = biv.bracket(f, g)
-    text = poly_to_str(result)
-    payload = {
-        "command": "bracket",
-        "inputs": {"form": args.form, "f": args.f, "g": args.g},
-        "outputs": {"poly": text},
-    }
-    _emit(args, payload, [text])
-    return 0
+    text = poly_to_str(bivector_from_form(form).bracket(f, g))
+    return _emit(args, [text], {"poly": text})
 
 
 def cmd_verify_dq(args) -> int:
     form = _load_form(args.form)
     sp = StarProduct.from_form(form, args.order)
     triples = corpus.random_poly_triples(form.dim, args.count, 3, args.seed)
-    report = verify_star_axioms(sp, triples, args.order)
-    payload = {
-        "command": "verify-dq",
-        "inputs": {"form": args.form, "order": args.order,
-                   "seed": args.seed, "count": args.count},
-    }
-    return _finish_check(args, payload, report, [])
+    return _emit(args, [], report=verify_star_axioms(sp, triples, args.order))
 
 
 def cmd_surface_ingest(args) -> int:
     surface = atlas.ingest_polygon(atlas.PolygonGluing.from_file(args.surface))
     text = surface.summary()
-    payload = {
-        "command": "surface-ingest",
-        "inputs": {"surface": args.surface},
-        "outputs": {
-            "summary": text,
-            "genus": surface.genus,
-            "zero_orders": surface.zero_orders(),
-            "vertex_classes": [list(c) for c in surface.vertex_classes],
-            "charts": [c.name for c in surface.charts],
-            "overlaps": [
-                {"src": ov.src, "dst": ov.dst, "component": ov.component,
-                 "constant": str(ov.constant)}
-                for ov in surface.overlaps
-            ],
-        },
-    }
-    _emit(args, payload, [text])
-    return 0
+    return _emit(args, [text], {
+        "summary": text,
+        "genus": surface.genus,
+        "zero_orders": surface.zero_orders(),
+        "vertex_classes": [list(c) for c in surface.vertex_classes],
+        "charts": [c.name for c in surface.charts],
+        "overlaps": [
+            {"src": ov.src, "dst": ov.dst, "component": ov.component,
+             "constant": str(ov.constant)}
+            for ov in surface.overlaps
+        ],
+    })
 
 
 def cmd_patch_check(args) -> int:
@@ -159,12 +144,7 @@ def cmd_patch_check(args) -> int:
         for k, (f, g) in enumerate(pairs):
             sub = atlas.overlap_agreement_check(surface, ov, f, g, args.order)
             report.extend(sub, prefix=f"pair {k} ")
-    payload = {
-        "command": "patch-check",
-        "inputs": {"surface": args.surface, "order": args.order,
-                   "seed": args.seed, "count": args.count},
-    }
-    return _finish_check(args, payload, report, [])
+    return _emit(args, [], report=report)
 
 
 def cmd_product_star(args) -> int:
@@ -187,20 +167,11 @@ def cmd_product_star(args) -> int:
     if copies > MAX_COPIES:
         raise InputError(f"{copies} copies is over the limit of {MAX_COPIES}")
     space = multi.ProductSpace(copies, args.order)
-    names = _product_names(copies)
     F = parse_expr(args.f, space.dim, args.order)
     G = parse_expr(args.g, space.dim, args.order)
-    result = space.star.star_series(F, G)
-    text = series_to_str(result, names)
+    text = series_to_str(space.star.star_series(F, G), _product_names(copies))
     lines.append(text)
-    payload = {
-        "command": "product-star",
-        "inputs": {"n": copies, "order": args.order,
-                   "f": args.f, "g": args.g, **extra},
-        "outputs": {"series": text, **extra},
-    }
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, lines, {"series": text, **extra}, n=copies, **extra)
 
 
 def cmd_symmetrize(args) -> int:
@@ -210,15 +181,8 @@ def cmd_symmetrize(args) -> int:
         raise InputError(f"symmetrize --n {args.n} is over the limit of "
                          f"{MAX_SYMMETRIZE_COPIES}")
     f = parse_poly(args.f, 2 * args.n)
-    result = multi.symmetrize(f)
-    text = poly_to_str(result, _product_names(args.n))
-    payload = {
-        "command": "symmetrize",
-        "inputs": {"n": args.n, "f": args.f},
-        "outputs": {"poly": text},
-    }
-    _emit(args, payload, [text])
-    return 0
+    text = poly_to_str(multi.symmetrize(f), _product_names(args.n))
+    return _emit(args, [text], {"poly": text})
 
 
 def cmd_transport(args) -> int:
@@ -226,25 +190,13 @@ def cmd_transport(args) -> int:
     m = transport.SymplectoMap.from_file(args.map)
     sp = StarProduct.from_form(form, args.order)
     gate = transport.check_symplecto(m, form)
-    payload = {
-        "command": "transport",
-        "inputs": {"map": args.map, "form": args.form, "order": args.order,
-                   "f": args.f, "g": args.g},
-        "checks": gate.to_dict(),
-        "passed": gate.passed,
-    }
     if not gate.passed:
-        lines = gate.summary_lines() + ["fail"]
-        _emit(args, payload, lines)
-        return 1
+        return _emit(args, [], report=gate)
     f = parse_poly(args.f, form.dim)
     g = parse_poly(args.g, form.dim)
-    result = transport.transported_star(m, sp, f, g, args.order,
-                                        verify=False)
-    text = series_to_str(result)
-    payload["outputs"] = {"series": text}
-    _emit(args, payload, [text])
-    return 0
+    text = series_to_str(transport.transported_star(m, sp, f, g, args.order,
+                                                    verify=False))
+    return _emit(args, [text], {"series": text}, gate)
 
 
 def cmd_verify_transport(args) -> int:
@@ -258,12 +210,7 @@ def cmd_verify_transport(args) -> int:
                                              args.seed)
         report.extend(transport.verify_transported_dq(m, sp, triples,
                                                       args.order))
-    payload = {
-        "command": "verify-transport",
-        "inputs": {"map": args.map, "form": args.form, "order": args.order,
-                   "seed": args.seed, "count": args.count},
-    }
-    return _finish_check(args, payload, report, [])
+    return _emit(args, [], report=report)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one reader of
-JSON input files, which raises them."""
+"""Exception types shared across the package, the one reader of JSON
+input files, which raises them, and the base of the immutable value
+types."""
 
 import json
 
@@ -24,6 +25,16 @@ class ParseError(StarkitError):
 
 class InputError(StarkitError):
     """Malformed input file or structured value (forms, surfaces, maps)."""
+
+
+class Immutable:
+    """Base of the value types: assignment is refused, and they fill
+    their slots with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def load_json(path):

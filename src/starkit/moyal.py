@@ -36,8 +36,8 @@ is packed with j in an extra bit field above the variables' fields, so a
 product adds h-degrees the way it adds exponents; an h^0 term has an
 empty field, and a plain product f * g is the series case with one
 coefficient each.  The variables' fields are wide enough for the max
-exponent of f plus that of g.  The steps share one denominator Ds, set
-when the product is built.  A branch carries the product of its steps'
+exponent of f plus that of g.  The steps share one denominator Ds, twice
+the bivector's own.  A branch carries the product of its steps'
 numerators and the multinomial count k! / prod(m_p!), which picking
 entry p for the m-th time at depth k turns into count * (k + 1) // m,
 an exact division.  So every term the walk adds at depth k sits over
@@ -53,12 +53,12 @@ coefficient is normalized once.
 from __future__ import annotations
 
 from functools import reduce
-from math import factorial, lcm
+from math import factorial
 from operator import or_
 
 from . import _kernel as K
 from . import linalg
-from .errors import ArityError, InputError
+from .errors import ArityError, Immutable, InputError
 from .poisson import PoissonBivector, SymplecticForm, bivector_from_form
 from .poly import SparsePoly
 from .reports import Report
@@ -118,7 +118,7 @@ def _with_h(coeffs, js) -> dict:
     return {e + (j,): c for j in js for e, c in coeffs[j]._terms.items()}
 
 
-class StarProduct:
+class StarProduct(Immutable):
     """Star product attached to a constant Poisson bivector.
 
     order is the default truncation used when a call does not pass one;
@@ -135,22 +135,13 @@ class StarProduct:
         object.__setattr__(self, "bivector", bivector)
         object.__setattr__(self, "dim", bivector.dim)
         object.__setattr__(self, "order", order)
-        # each nonzero entry as (a, b, step numerator) over one denominator;
-        # the bivector lifts pi for the bracket on its own, so the axiom
-        # check comparing the walk's h^1 with the bracket shares no lifting
-        half_i = (0, 1, 1, 2)
-        entries = [(a, b, K.cmul(half_i, entry.to_kernel()))
-                   for a, row in enumerate(bivector.matrix)
-                   for b, entry in enumerate(row)
-                   if not entry.is_zero()]
-        ds = lcm(*{d for _, _, c in entries for d in (c[1], c[3])})
+        # each step (i/2) pi_ab over one denominator, from the bivector's
+        # own lifting: (x + y i) / D times i/2 is (-y + x i) / 2D.  The
+        # first-order axiom compares two separate loops, this walk and the
+        # bracket's, and tests check the lifting against sympy.
         object.__setattr__(self, "_pairs", tuple(
-            (a, b, rn * (ds // rd), jn * (ds // jd))
-            for a, b, (rn, rd, jn, jd) in entries))
-        object.__setattr__(self, "_ds", ds)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StarProduct is immutable")
+            (a, b, -y, x) for a, b, x, y in bivector._pairs))
+        object.__setattr__(self, "_ds", 2 * bivector._den)
 
     @classmethod
     def from_form(cls, form: SymplecticForm, order: int = 8) -> "StarProduct":
@@ -292,8 +283,7 @@ def translation_equivariance_check(star: StarProduct, f, g, shift,
     rep = Report("translation equivariance")
     lhs = star.star(f.translate(shift), g.translate(shift), order)
     rhs = star.star(f, g, order).map_coeffs(lambda p: p.translate(shift))
-    rep.add("translate-then-star equals star-then-translate", lhs == rhs,
-            "" if lhs == rhs else f"difference {lhs - rhs}")
+    rep.add_equal("translate-then-star equals star-then-translate", lhs, rhs)
     return rep
 
 
@@ -327,9 +317,7 @@ def linear_action_check(star: StarProduct, matrix, cases=None,
     for idx, (f, g) in enumerate(cases):
         lhs = star.star(f.affine_subst(S), g.affine_subst(S), order)
         rhs = star.star(f, g, order).map_coeffs(lambda p: p.affine_subst(S))
-        ok = lhs == rhs
-        rep.add(f"equivariance[{idx}]", ok,
-                "" if ok else f"difference {lhs - rhs}")
+        rep.add_equal(f"equivariance[{idx}]", lhs, rhs)
     return rep
 
 
@@ -363,8 +351,7 @@ def verify_dq_axioms(star_fn, bracket_fn, triples, order: int, arity: int,
         fg = star_fn(F, G)
         left = star_fn(fg, H)
         right = star_fn(F, star_fn(G, H))
-        rep.add(f"associativity[{idx}]", left == right,
-                "" if left == right else f"difference {left - right}")
+        rep.add_equal(f"associativity[{idx}]", left, right)
         unit_ok = star_fn(one, F) == F and star_fn(F, one) == F
         rep.add(f"unit[{idx}]", unit_ok)
         rep.add(f"classical-limit[{idx}]", fg[0] == f * g)

@@ -15,7 +15,7 @@ from itertools import chain, permutations as _all_images
 from math import comb
 
 from . import _kernel as K
-from .errors import ArityError, InputError
+from .errors import ArityError, Immutable, InputError
 from .moyal import StarProduct
 from .poisson import SymplecticForm
 from .poly import SparsePoly
@@ -23,7 +23,7 @@ from .reports import Report
 from .scalars import ExactComplex
 
 
-class ProductSpace:
+class ProductSpace(Immutable):
     """n interleaved (zeta, lambda) pairs with the block-diagonal form."""
 
     __slots__ = ("copies", "dim", "form", "star")
@@ -36,9 +36,6 @@ class ProductSpace:
         form = SymplecticForm.standard(copies)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "star", StarProduct.from_form(form, order))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductSpace is immutable")
 
     def zeta(self, i: int) -> SparsePoly:
         """Base coordinate of copy i (1-based)."""
@@ -53,7 +50,7 @@ class ProductSpace:
         return SparsePoly.variable(self.dim, 2 * i)
 
 
-class Permutation:
+class Permutation(Immutable):
     """Bijection of {0..n-1}, stored as the image array."""
 
     __slots__ = ("images",)
@@ -63,9 +60,6 @@ class Permutation:
         if sorted(imgs) != list(range(len(imgs))):
             raise InputError(f"not a permutation: {imgs}")
         object.__setattr__(self, "images", imgs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @property
     def n(self) -> int:
@@ -138,9 +132,7 @@ def equivariance_check(ps: ProductSpace, sigma: Permutation,
     lhs = ps.star.star(permute_poly(sigma, f), permute_poly(sigma, g), order)
     rhs = ps.star.star(f, g, order).map_coeffs(
         lambda p: permute_poly(sigma, p))
-    ok = lhs == rhs
-    rep.add(f"sigma={list(sigma.images)}", ok,
-            "" if ok else f"difference {lhs - rhs}")
+    rep.add_equal(f"sigma={list(sigma.images)}", lhs, rhs)
     return rep
 
 
@@ -245,7 +237,7 @@ def hitchin_commutation_check(ps: ProductSpace, j: int, k: int,
     return rep
 
 
-class Configuration:
+class Configuration(Immutable):
     """n labelled points of the (zeta, lambda) plane with exact entries."""
 
     __slots__ = ("points",)
@@ -257,17 +249,19 @@ class Configuration:
             raise InputError("configuration needs at least one point")
         object.__setattr__(self, "points", pts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Configuration is immutable")
-
     def __len__(self):
         return len(self.points)
 
 
 def configuration_check(config: Configuration) -> Report:
-    """Pairwise distinctness of the points, flagging any violating pair."""
-    rep = Report("configuration distinctness")
+    """Pairwise distinctness of the points, flagging any violating pair.
+
+    A single point is refused: it has no pair to check.
+    """
     pts = config.points
+    if len(pts) < 2:
+        raise InputError("distinctness checks need at least two points")
+    rep = Report("configuration distinctness")
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             ok = pts[i] != pts[j]

@@ -29,7 +29,7 @@ from operator import or_
 
 from . import _kernel as K
 from . import linalg
-from .errors import ArityError, InputError
+from .errors import ArityError, Immutable, InputError
 from .poly import SparsePoly
 from .scalars import ExactComplex
 
@@ -42,7 +42,7 @@ def _check_antisymmetric(mat, what: str) -> None:
                 raise InputError(f"{what} must be antisymmetric")
 
 
-class SymplecticForm:
+class SymplecticForm(Immutable):
     """Constant-coefficient symplectic form on dimension dim."""
 
     __slots__ = ("dim", "matrix", "inverse")
@@ -56,9 +56,6 @@ class SymplecticForm:
         object.__setattr__(self, "dim", len(mat))
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "inverse", inverse)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymplecticForm is immutable")
 
     @classmethod
     def standard(cls, pairs: int) -> "SymplecticForm":
@@ -84,7 +81,7 @@ class SymplecticForm:
         return f"SymplecticForm({[[str(x) for x in row] for row in self.matrix]})"
 
 
-class PoissonBivector:
+class PoissonBivector(Immutable):
     """Constant antisymmetric bivector; evaluates the bracket."""
 
     __slots__ = ("dim", "matrix", "_pairs", "_den")
@@ -104,9 +101,6 @@ class PoissonBivector:
             (a, b, rn * (den // rd), jn * (den // jd))
             for a, b, (rn, rd, jn, jd) in entries))
         object.__setattr__(self, "_den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonBivector is immutable")
 
     def bracket(self, f: SparsePoly, g: SparsePoly) -> SparsePoly:
         """{f, g} = sum pi_ab (df/dz_a)(dg/dz_b), over packed maps: f and g

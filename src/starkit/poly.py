@@ -18,7 +18,7 @@ from math import comb
 from typing import Iterator, Mapping, Sequence
 
 from . import _kernel as K
-from .errors import ArityError
+from .errors import ArityError, Immutable
 from .scalars import ExactComplex
 
 
@@ -50,7 +50,7 @@ def _coerce_coeff(value):
     raise ArityError(f"cannot use {value!r} as a polynomial coefficient")
 
 
-class SparsePoly:
+class SparsePoly(Immutable):
     """Immutable sparse polynomial over the Gaussian rationals."""
 
     __slots__ = ("arity", "_terms", "_hash")
@@ -72,9 +72,6 @@ class SparsePoly:
         object.__setattr__(self, "_terms", {
             e: c for e, c in raw.items() if c[0] != 0 or c[2] != 0})
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparsePoly is immutable")
 
     # -- constructors ------------------------------------------------------
 

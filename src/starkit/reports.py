@@ -25,6 +25,12 @@ class Report:
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.entries.append(CheckEntry(name, bool(passed), detail))
 
+    def add_equal(self, name: str, left, right) -> None:
+        """A check that left equals right; on failure the detail is the
+        difference left - right, which should have been zero."""
+        ok = left == right
+        self.add(name, ok, "" if ok else f"difference {left - right}")
+
     def extend(self, other: "Report", prefix: str = "") -> None:
         for entry in other.entries:
             name = f"{prefix}{entry.name}" if prefix else entry.name

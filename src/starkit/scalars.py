@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import _kernel as K
-from .errors import InputError
+from .errors import Immutable, InputError
 
 _RATIONAL_RE = _re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -69,16 +69,13 @@ def _ratio(part) -> tuple:
     return Fraction(part).as_integer_ratio()
 
 
-class ExactComplex:
+class ExactComplex(Immutable):
     """Immutable exact complex number with rational real and imaginary parts."""
 
     __slots__ = ("_c",)
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "_c", _ratio(re) + _ratio(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactComplex is immutable")
 
     @classmethod
     def from_kernel(cls, c) -> "ExactComplex":

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ArityError
+from .errors import ArityError, Immutable
 from .poly import SparsePoly
 
 
-class HbarSeries:
+class HbarSeries(Immutable):
     """Immutable truncated series with SparsePoly coefficients."""
 
     __slots__ = ("arity", "order", "coeffs")
@@ -29,9 +29,6 @@ class HbarSeries:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", len(coeffs) - 1)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HbarSeries is immutable")
 
     @classmethod
     def zero(cls, arity: int, order: int) -> "HbarSeries":

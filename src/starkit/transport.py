@@ -37,7 +37,7 @@ transported_star or verify_transported_dq, reads it back.
 from __future__ import annotations
 
 from . import linalg
-from .errors import ArityError, InputError, load_json
+from .errors import ArityError, Immutable, InputError, load_json
 from .moyal import StarProduct, verify_dq_axioms
 from .poisson import PoissonBivector, SymplecticForm, form_from_bivector
 from .poly import SparsePoly
@@ -46,7 +46,7 @@ from .scalars import ExactComplex
 from .series import HbarSeries
 
 
-class SymplectoMap:
+class SymplectoMap(Immutable):
     """Polynomial coordinate change with a declared polynomial inverse."""
 
     __slots__ = ("dim", "forward", "inverse", "degree_bound",
@@ -75,9 +75,6 @@ class SymplectoMap:
         object.__setattr__(self, "inverse", inv)
         object.__setattr__(self, "degree_bound", degree_bound)
         object.__setattr__(self, "_round_trips", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymplectoMap is immutable")
 
     @classmethod
     def identity(cls, dim: int) -> "SymplectoMap":

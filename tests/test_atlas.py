@@ -248,6 +248,21 @@ def test_cocycle_detects_corrupted_corner(square_surface):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("check, label, bad", [
+    (atlas.liouville_pullback_check, "side9",
+     atlas.ChartMap([[2, 0], [0, 1]], [0, 0])),
+    (atlas.cocycle_check, "corner9", atlas.ChartMap.translation(1)),
+], ids=["liouville", "cocycle"])
+def test_unknown_override_label_is_refused(square_surface, check, label,
+                                           bad):
+    # the same map fails the check under a real label; under a label
+    # that names no component it would replace nothing and pass
+    real = label[:-1] + "0"
+    assert not check(square_surface, {real: bad}).passed
+    with pytest.raises(InputError, match=f"no overlap component '{label}'"):
+        check(square_surface, {label: bad})
+
+
 def test_overlap_agreement_on_sample_pairs(square_surface, octagon_surface):
     for s in (square_surface, octagon_surface):
         ov = s.overlaps[1]

@@ -10,7 +10,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import starkit
@@ -437,6 +437,99 @@ def test_every_expression_exits_0_or_2(f, g):
             code = main(argv)
         assert code in (0, 2), (argv, code)
         assert (code == 2) == err.getvalue().startswith("error: "), argv
+
+
+# JSON files from a small alphabet: scalars, lists and objects with the
+# keys the readers look for, and the bundled surfaces and maps and
+# generated antisymmetric forms, each with one leaf replaced or none.
+# Every command that reads such a file must exit 0, 1 or 2, and 1 ("a
+# check failed") only where it runs checks.
+JSON_SCALARS = st.sampled_from(
+    ["0", "1", "-1", "1/2", "2", "i", "1+i", "z1", "z2", "z1^2", "z2 - z1^2",
+     "z1 + z2", "", "x", "1/0", 0, 1, 2, 3, -1, 1.5, None, True])
+JSON_KEYS = st.sampled_from(["edges", "pairing", "dim", "degree_bound",
+                             "forward", "inverse"])
+json_values = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_KEYS, inner, max_size=6),
+    max_leaves=12)
+BUNDLED = [json.loads(pathlib.Path(fixture_path(name)).read_text())
+           for name in ("square.json", "lshape.json", "hexagon.json",
+                        "octagon.json", "decagon.json", "shear_map.json",
+                        "base_shear_map.json", "scale_map.json",
+                        "broken_map.json")]
+RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "2", "-2", "i"])
+
+
+def _antisymmetric(pairs, upper):
+    """The 2 pairs x 2 pairs antisymmetric matrix of rational strings
+    with the given entries above the diagonal."""
+    n = 2 * pairs
+    rows = [["0"] * n for _ in range(n)]
+    entries = iter(upper)
+    for a in range(n):
+        for b in range(a + 1, n):
+            rows[a][b] = next(entries)
+            rows[b][a] = rows[a][b][1:] if rows[a][b][0] == "-" \
+                else "-" + rows[a][b]
+    return rows
+
+
+forms = st.integers(1, 2).flatmap(
+    lambda pairs: st.lists(RATIONALS, min_size=pairs * (2 * pairs - 1),
+                           max_size=pairs * (2 * pairs - 1)).map(
+        lambda upper: _antisymmetric(pairs, upper)))
+
+
+def _with_leaf(value, k, new):
+    """value with its k-th scalar, in depth-first order, replaced by new;
+    value unchanged when it has k scalars or fewer."""
+    seen = [0]
+
+    def walk(v):
+        if isinstance(v, dict):
+            return {key: walk(x) for key, x in v.items()}
+        if isinstance(v, list):
+            return [walk(x) for x in v]
+        seen[0] += 1
+        return new if seen[0] == k + 1 else v
+
+    return walk(value)
+
+
+json_files = st.one_of(
+    json_values,
+    st.builds(_with_leaf, st.sampled_from(BUNDLED) | forms,
+              st.integers(0, 24), json_values),
+)
+FILE_COMMANDS = [
+    (["surface-ingest", "{}"], False),
+    (["patch-check", "--surface", "{}", "--count", "1", "--order", "2"],
+     True),
+    (["transport", "--map", "{}", "z1", "z2"], True),
+    (["verify-transport", "--map", "{}", "--count", "1", "--order", "2"],
+     True),
+    (["star", "--form", "{}", "z1", "z2"], False),
+    (["verify-dq", "--form", "{}", "--count", "1", "--order", "2"], True),
+]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(json_files)
+def test_every_json_file_exits_0_1_or_2(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for template, runs_checks in FILE_COMMANDS:
+        argv = [str(path) if arg == "{}" else arg for arg in template]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, data, code)
+        assert code != 1 or runs_checks, (argv, data)
+        assert (code == 2) == err.getvalue().startswith("error: "), \
+            (argv, data)
 
 
 def test_json_reports_are_deterministic(capsys):

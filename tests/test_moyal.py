@@ -454,8 +454,9 @@ def test_mutant_without_factorial_breaks_associativity():
                            s.bracket, triples,
                            order=6, arity=2)
     assert not rep.passed
-    bad = [e.name for e in rep.failures()]
-    assert any(name.startswith("associativity") for name in bad)
+    bad = [e for e in rep.failures() if e.name.startswith("associativity")]
+    # the detail is the residual that should have been zero
+    assert bad and all(e.detail.startswith("difference ") for e in bad)
 
 
 def test_mutant_with_flipped_bivector_breaks_the_bracket_axiom():

@@ -254,6 +254,13 @@ def test_configuration_check_flags_collisions():
     assert [e.name for e in rep.failures()] == ["points 0 and 2 distinct"]
 
 
+def test_configuration_check_needs_two_points():
+    # one point has no pair: a report of zero checks is not a pass
+    one = multi.Configuration([(1, 2)])
+    with pytest.raises(InputError, match="at least two points"):
+        multi.configuration_check(one)
+
+
 def test_moduli_copy_counts():
     assert multi.moduli_copies(2, 2) == 5
     assert multi.moduli_copies(1, 2) == 2

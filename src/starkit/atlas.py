@@ -25,11 +25,10 @@ quantization is the Moyal product in those coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import ArityError, Immutable, InputError, load_json
+from .errors import ArityError, Immutable, InputError, Record, load_json
 from .moyal import StarProduct
 from .poisson import SymplecticForm
 from .poly import SparsePoly
@@ -47,9 +46,10 @@ def _dot(a: ExactComplex, b: ExactComplex) -> Fraction:
 
 
 def _require_real_rational(value, what: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, (bool, float)):
+        kind = "boolean" if isinstance(value, bool) else "float"
         raise InputError(
-            f"{what} must be an exact rational (\"p/q\" string), not a float")
+            f"{what} must be an exact rational (\"p/q\" string), not a {kind}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -69,7 +69,8 @@ class PolygonGluing(Immutable):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise InputError("pairing entries must be [i, j] pairs")
             i, j = pair
-            if not isinstance(i, int) or not isinstance(j, int):
+            if not all(isinstance(k, int) and not isinstance(k, bool)
+                       for k in pair):
                 raise InputError("pairing entries must be integer indices")
             pairs.append((i, j) if i <= j else (j, i))
         object.__setattr__(self, "edges", self_edges)
@@ -179,19 +180,28 @@ class ChartMap(Immutable):
         return f"ChartMap({[[str(x) for x in r] for r in self.matrix]}, {[str(x) for x in self.shift]})"
 
 
-@dataclass(frozen=True)
-class Chart:
-    name: str
-    kind: str            # "base" or "edge"
-    sides: tuple = ()    # the glued pair for edge charts
+class Chart(Record):
+    __slots__ = ("name", "kind", "sides")
+
+    def __init__(self, name: str, kind: str, sides: tuple = ()):
+        object.__setattr__(self, "name", name)
+        # "base" or "edge"
+        object.__setattr__(self, "kind", kind)
+        # the glued pair for edge charts
+        object.__setattr__(self, "sides", sides)
 
 
-@dataclass(frozen=True)
-class Overlap:
-    src: str
-    dst: str
-    component: str       # which connected piece of the overlap
-    transition: ChartMap # zeta_dst = zeta_src + c on this component
+class Overlap(Record):
+    __slots__ = ("src", "dst", "component", "transition")
+
+    def __init__(self, src: str, dst: str, component: str,
+                 transition: ChartMap):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        # which connected piece of the overlap
+        object.__setattr__(self, "component", component)
+        # zeta_dst = zeta_src + c on this component
+        object.__setattr__(self, "transition", transition)
 
     @property
     def constant(self) -> ExactComplex:

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the one reader of JSON
-input files, which raises them, and the base of the immutable value
-types."""
+input files, which raises them, and the bases of the immutable value
+types and records."""
 
 import json
 
@@ -35,6 +35,29 @@ class Immutable:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Immutable):
+    """An immutable record whose fields are its __slots__: it compares,
+    hashes and prints by them, in order, as a frozen dataclass would."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
 
 
 def load_json(path):

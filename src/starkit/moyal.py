@@ -26,7 +26,10 @@ which variables its two derivatives hold from the OR of their packed
 keys, one support mask each, and passes over every entry whose first
 variable is missing from the one or whose second is missing from the
 other, without differentiating: on a block bivector of a product space
-a node's terms touch few copies, so most entries are passed over.
+a node's terms touch few copies, so most entries are passed over.  A
+derivative holds a subset of its parent's variables, so only the root
+tests every entry; a child tests only the entries its parent found
+useful, from the one it picked onward.
 
 The walk runs on integers (see ``starkit._kernel`` for packed maps),
 and one walk serves a whole series product, sum_j h^j f_j times
@@ -125,7 +128,7 @@ class StarProduct(Immutable):
     every truncation of polynomial inputs is exact regardless.
     """
 
-    __slots__ = ("bivector", "dim", "order", "_pairs", "_ds")
+    __slots__ = ("bivector", "dim", "order", "_pairs", "_ds", "_masked")
 
     def __init__(self, bivector: PoissonBivector, order: int = 8):
         if bivector.dim % 2 != 0:
@@ -142,6 +145,8 @@ class StarProduct(Immutable):
         object.__setattr__(self, "_pairs", tuple(
             (a, b, -y, x) for a, b, x, y in bivector._pairs))
         object.__setattr__(self, "_ds", 2 * bivector._den)
+        # the entries with their field masks, by field width (_entries)
+        object.__setattr__(self, "_masked", {})
 
     @classmethod
     def from_form(cls, form: SymplecticForm, order: int = 8) -> "StarProduct":
@@ -185,16 +190,16 @@ class StarProduct(Immutable):
         hcaps = fmax or gmax
         (lf, lg), den, width = K.lift(_with_h(fs, jf), _with_h(gs, jg))
         hshift = dim * width
-        # each entry with the masks of its two variables' fields in a key
-        masks = K.fields(dim, width)
-        pairs = [(a, b, sr, si, masks[a], masks[b])
-                 for a, b, sr, si in self._pairs]
         accs = [K.maddmul({}, lf, lg, 1, 0)] + [{} for _ in range(top)]
-        # (depth, last entry picked, its multiplicity, weight numerator,
-        #  multinomial count, the two derivatives, their largest h-degrees)
-        stack = [(0, 0, 0, 1, 0, 1, lf, lg, fmax, gmax)] if top else []
+        # (depth, the parent's useful entries, the index there of the last
+        #  entry picked, its multiplicity, weight numerator, multinomial
+        #  count, the two derivatives, their largest h-degrees); the root
+        #  picks from every entry
+        stack = ([(0, self._entries(width), 0, 0, 1, 0, 1, lf, lg,
+                   fmax, gmax)] if top else [])
         while stack:
-            depth, last, mult, wr, wi, cnt, da, db, ha, hb = stack.pop()
+            (depth, cands, start, mult, wr, wi, cnt, da, db,
+             ha, hb) = stack.pop()
             if hcaps:
                 # the h-degrees that still fit at the children's depth
                 cap = order - depth - 1 - gmin
@@ -213,20 +218,24 @@ class StarProduct(Immutable):
             # term has that variable, so its derivative is not zero
             ora = reduce(or_, da, 0)
             orb = reduce(or_, db, 0)
+            last = cands[start] if mult else None
+            useful = []
             children = []
-            for p in range(last, len(pairs)):
-                a, b, sr, si, ma, mb = pairs[p]
+            for k in range(start, len(cands)):
+                entry = cands[k]
+                a, b, sr, si, ma, mb = entry
                 if not (ora & ma and orb & mb):
                     continue
+                useful.append(entry)
                 da2 = K.mdiff(da, a, width)
                 db2 = K.mdiff(db, b, width)
-                m = mult + 1 if p == last else 1
+                m = mult + 1 if entry is last else 1
                 nr, ni = wr * sr - wi * si, wr * si + wi * sr
                 c = cnt * (depth + 1) // m
                 K.maddmul(accs[depth + 1], da2, db2, nr * c, ni * c)
                 if depth + 1 < top:
-                    children.append((depth + 1, p, m, nr, ni, c, da2, db2,
-                                     ha, hb))
+                    children.append((depth + 1, useful, len(useful) - 1, m,
+                                     nr, ni, c, da2, db2, ha, hb))
             stack.extend(reversed(children))
         if fmax + gmax:
             accs = _by_h_power(accs, order, top, self._ds, hshift)
@@ -237,6 +246,17 @@ class StarProduct(Immutable):
             if n < top:
                 den *= self._ds * (n + 1)
         return out + [{} for _ in range(order + 1 - len(out))]
+
+    def _entries(self, width: int) -> tuple:
+        """Each entry (a, b, step re, step im) with the masks of its two
+        variables' fields in a key of this width; kept per width."""
+        entries = self._masked.get(width)
+        if entries is None:
+            masks = K.fields(self.dim, width)
+            entries = self._masked[width] = tuple(
+                (a, b, sr, si, masks[a], masks[b])
+                for a, b, sr, si in self._pairs)
+        return entries
 
     def coefficient(self, k: int, f: SparsePoly, g: SparsePoly) -> SparsePoly:
         """The h^k coefficient of f * g."""

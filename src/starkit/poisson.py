@@ -52,7 +52,9 @@ class SymplecticForm(Immutable):
         _check_antisymmetric(mat, "a symplectic form")
         if len(mat) % 2 != 0:
             raise InputError("a symplectic form needs even dimension")
-        inverse = linalg.mat_inv(mat)  # rejects degenerate forms
+        self._fill(mat, linalg.mat_inv(mat))  # rejects degenerate forms
+
+    def _fill(self, mat, inverse) -> None:
         object.__setattr__(self, "dim", len(mat))
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "inverse", inverse)
@@ -68,7 +70,12 @@ class SymplecticForm(Immutable):
             a = 2 * k
             rows[a][a + 1] = -1
             rows[a + 1][a] = 1
-        return cls(rows)
+        # antisymmetric and invertible by construction: each block squares
+        # to -1, so the inverse is -T, with no elimination
+        mat = linalg.as_matrix(rows)
+        form = object.__new__(cls)
+        form._fill(mat, linalg.mat_neg(mat))
+        return form
 
     def __eq__(self, other):
         return (isinstance(other, SymplecticForm)
@@ -84,7 +91,7 @@ class SymplecticForm(Immutable):
 class PoissonBivector(Immutable):
     """Constant antisymmetric bivector; evaluates the bracket."""
 
-    __slots__ = ("dim", "matrix", "_pairs", "_den")
+    __slots__ = ("dim", "matrix", "_pairs", "_den", "_rows", "_cols")
 
     def __init__(self, matrix):
         mat = linalg.as_matrix(matrix)
@@ -101,6 +108,11 @@ class PoissonBivector(Immutable):
             (a, b, rn * (den // rd), jn * (den // jd))
             for a, b, (rn, rd, jn, jd) in entries))
         object.__setattr__(self, "_den", den)
+        # the variables the bracket differentiates f and g in
+        object.__setattr__(self, "_rows",
+                           tuple(sorted({a for a, _, _ in entries})))
+        object.__setattr__(self, "_cols",
+                           tuple(sorted({b for _, b, _ in entries})))
 
     def bracket(self, f: SparsePoly, g: SparsePoly) -> SparsePoly:
         """{f, g} = sum pi_ab (df/dz_a)(dg/dz_b), over packed maps: f and g
@@ -116,10 +128,8 @@ class PoissonBivector(Immutable):
         masks = K.fields(self.dim, width)
         ora = reduce(or_, lf, 0)
         orb = reduce(or_, lg, 0)
-        df = {a: K.mdiff(lf, a, width) for a in {p[0] for p in self._pairs}
-              if ora & masks[a]}
-        dg = {b: K.mdiff(lg, b, width) for b in {p[1] for p in self._pairs}
-              if orb & masks[b]}
+        df = {a: K.mdiff(lf, a, width) for a in self._rows if ora & masks[a]}
+        dg = {b: K.mdiff(lg, b, width) for b in self._cols if orb & masks[b]}
         acc: dict = {}
         for a, b, wr, wi in self._pairs:
             if a in df and b in dg:

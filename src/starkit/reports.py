@@ -7,20 +7,33 @@ residual that should have been zero) when a check fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .errors import Record
 
 
-@dataclass(frozen=True)
-class CheckEntry:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckEntry(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass
 class Report:
-    title: str = ""
-    entries: list = field(default_factory=list)
+    """A title and its entries; reports compare by value and, being
+    mutable, do not hash (defining __eq__ alone leaves __hash__ None)."""
+
+    def __init__(self, title: str = "", entries: list | None = None):
+        self.title = title
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.title, self.entries) == (other.title, other.entries)
+
+    def __repr__(self):
+        return f"Report(title={self.title!r}, entries={self.entries!r})"
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.entries.append(CheckEntry(name, bool(passed), detail))

@@ -103,7 +103,8 @@ class SymplectoMap(Immutable):
                 raise InputError(f"map data needs \"{key}\"")
         dim = data["dim"]
         bound = data["degree_bound"]
-        if not isinstance(dim, int) or not isinstance(bound, int):
+        if not all(isinstance(x, int) and not isinstance(x, bool)
+                   for x in (dim, bound)):
             raise InputError("dim and degree_bound must be integers")
         for key in ("forward", "inverse"):
             comps = data[key]

@@ -317,6 +317,25 @@ def test_nesting_at_the_limit_parses(capsys):
                 ["0", "-1"]],
       "pairing": [[0, 2], [1, 3]]},
      "rational literal of 5001 characters is too long"),
+    # JSON true and false are not integers or rationals, although
+    # Python's bool is an int
+    (["surface-ingest"],
+     {"edges": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
+      "pairing": [[False, 2], [True, 3]]},
+     "pairing entries must be integer indices"),
+    (["transport", "--map"],
+     {"dim": 2, "degree_bound": True, "forward": ["z1", "z2"],
+      "inverse": ["z1", "z2"]},
+     "dim and degree_bound must be integers"),
+    (["verify-transport", "--map"],
+     {"dim": True, "degree_bound": 1, "forward": ["z1"],
+      "inverse": ["z1"]},
+     "dim and degree_bound must be integers"),
+    (["surface-ingest"],
+     {"edges": [[True, "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
+      "pairing": [[0, 2], [1, 3]]},
+     "edge 0 real part must be an exact rational (\"p/q\" string), "
+     "not a boolean"),
 ])
 def test_malformed_map_or_pairing_is_exit_2(capsys, tmp_path, argv, data,
                                             message):

@@ -86,6 +86,17 @@ def test_nonstandard_form_round_trip():
     assert form_from_bivector(bivector_from_form(form)) == form
 
 
+@pytest.mark.parametrize("pairs", [1, 2, 3, 4, 5, 6, 19])
+def test_standard_form_inverse_is_closed_form(pairs):
+    # standard() sets the inverse to -T without an elimination; the
+    # general constructor eliminates, and both must agree
+    from starkit import linalg
+    form = SymplecticForm.standard(pairs)
+    assert form.inverse == linalg.mat_inv(form.matrix)
+    general = SymplecticForm(form.matrix)
+    assert general == form and hash(general) == hash(form)
+
+
 def test_form_validation():
     with pytest.raises(InputError):
         SymplecticForm([[0, 1], [1, 0]])  # symmetric

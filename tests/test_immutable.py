@@ -1,10 +1,10 @@
 import pytest
 
 from starkit import atlas, multi, transport
-from starkit.reports import CheckEntry, Report
 from starkit.moyal import StarProduct
 from starkit.poisson import PoissonBivector, SymplecticForm
 from starkit.poly import SparsePoly
+from starkit.reports import CheckEntry, Report
 from starkit.scalars import ExactComplex
 from starkit.series import HbarSeries
 

@@ -1,5 +1,6 @@
 """Importing starkit stays light: no module pulls in `dataclasses` or
-`inspect`, which together cost about as much as the rest of the import."""
+`inspect`, which took about twice as long to import as the rest of
+`import starkit`."""
 
 import json
 import pathlib

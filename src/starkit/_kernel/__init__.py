@@ -34,7 +34,9 @@ a packed map holds from the OR of its keys without knowing the layout.
 ``maddmul`` is the one loop over pairs of terms, ``mdiff`` multiplies
 numerators by the exponent and keeps D, and ``lower`` divides by the
 positive denominator the caller tracked, with one gcd per part,
-dropping cancelled terms.  ``mmul`` is the three.
+dropping cancelled terms.  ``mmul`` is the three, except that a factor
+of one term only shifts and scales the other, and ``mpow`` squares and
+multiplies through ``mmul``.
 
 Callers reach these functions as attributes of this module (``K.mmul``),
 so a tracer that rebinds an attribute sees every call from outside.
@@ -42,6 +44,7 @@ so a tracer that rebinds an attribute sees every call from outside.
 
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 from struct import Struct
 
 from ..errors import InputError
@@ -227,8 +230,33 @@ def maddmul(acc, p1, p2, wr, wi):
 
 
 def mmul(t1, t2):
-    """The normalized term map of t1 * t2."""
+    """The normalized term map of t1 * t2.
+
+    When either map has a single term c z^e, the product is the other
+    map shifted by e with each coefficient times c: no lift, no lower.
+    The keys stay distinct and, the Gaussian rationals having no zero
+    divisors, the coefficients nonzero.  Lift's width rule still
+    applies, so a product past 64-bit fields is refused either way.
+    """
     if not t1 or not t2:
         return {}
+    if len(t1) == 1 or len(t2) == 1:
+        if len(t1) > 1:
+            t1, t2 = t2, t1
+        _field_width(sum(max(map(max, t)) for t in (t1, t2)).bit_length())
+        ((e1, c1),) = t1.items()
+        return {tuple(map(add, e1, e)): cmul(c1, c) for e, c in t2.items()}
     (p1, p2), den, width = lift(t1, t2)
     return lower(maddmul({}, p1, p2, 1, 0), den, len(next(iter(t1))), width)
+
+
+def mpow(t, k, arity):
+    """The normalized term map of t^k, k >= 0, on arity variables, by
+    repeated squaring through mmul."""
+    out = {(0,) * arity: CONE}
+    while k:
+        if k & 1:
+            out = mmul(out, t)
+        t = mmul(t, t) if k > 1 else t
+        k >>= 1
+    return out

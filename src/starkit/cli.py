@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from math import factorial
 
 from . import atlas, corpus, multi, transport
 from .errors import InputError, StarkitError, load_json
@@ -36,10 +37,12 @@ _BUILTIN_FORMS = {"omega0": 1, "omega0x2": 2, "omega0x3": 3}
 
 # size limits, refused with exit 2 before anything is built: a series
 # holds order + 1 coefficients, --count cases are all generated up front,
-# a product space is a 2n x 2n exact set-up, symmetrize writes each
-# monomial's orbit, up to n! images when its n blocks all differ, and a
-# dense form file of dimension d costs d^3 to invert and d^3 polynomial
-# products in the verify-transport Jacobian congruence
+# a product space is a 2n x 2n exact set-up, and a dense form file of
+# dimension d costs d^3 to invert and d^3 polynomial products in the
+# verify-transport Jacobian congruence.  symmetrize writes each
+# monomial's orbit, up to n! images when its n blocks all differ; past
+# the copy limit, and for an input whose orbits together hold more than
+# MAX_SYMMETRIZE_COPIES! images, it is refused before any orbit is built
 MAX_ORDER = 1000
 MAX_COUNT = 1000
 MAX_COPIES = 64
@@ -181,6 +184,10 @@ def cmd_symmetrize(args) -> int:
         raise InputError(f"symmetrize --n {args.n} is over the limit of "
                          f"{MAX_SYMMETRIZE_COPIES}")
     f = parse_poly(args.f, 2 * args.n)
+    images, limit = multi.orbit_images(f), factorial(MAX_SYMMETRIZE_COPIES)
+    if images > limit:
+        raise InputError(f"symmetrize would write {images} orbit images, "
+                         f"over the limit of {limit}")
     text = poly_to_str(multi.symmetrize(f), _product_names(args.n))
     return _emit(args, [text], {"poly": text})
 

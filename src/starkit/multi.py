@@ -168,6 +168,16 @@ def _orbit_size(blocks) -> int:
     return size
 
 
+def _blocks(exps) -> list:
+    """The (zeta_i, lambda_i) exponent pairs of a term, by copy."""
+    return [exps[k:k + 2] for k in range(0, len(exps), 2)]
+
+
+def orbit_images(f: SparsePoly) -> int:
+    """The images symmetrize(f) writes: its terms' orbit sizes, summed."""
+    return sum(_orbit_size(_blocks(exps)) for exps in f._terms)
+
+
 def symmetrize(f: SparsePoly) -> SparsePoly:
     """Average of f over all relabellings; a projection onto invariants.
 
@@ -181,7 +191,7 @@ def symmetrize(f: SparsePoly) -> SparsePoly:
         raise ArityError("symmetrize needs an even arity (pairs of variables)")
     acc: dict = {}
     for exps, c in f._terms.items():
-        blocks = [exps[k:k + 2] for k in range(0, f.arity, 2)]
+        blocks = _blocks(exps)
         share = K.cmul(c, (1, _orbit_size(blocks), 0, 1))
         for image in _arrangements(blocks):
             e = tuple(chain.from_iterable(image))
@@ -192,20 +202,28 @@ def symmetrize(f: SparsePoly) -> SparsePoly:
 
 
 def is_symmetric(f: SparsePoly) -> bool:
-    """Fixed by every relabelling; the adjacent swaps generate S_n.
+    """Fixed by every relabelling; the swap of copies 1 and 2 and the
+    cyclic shift sending copy i to copy i+1 (mod n) generate S_n.
 
-    A swap is an involution on exponent vectors, so it fixes f exactly
-    when every term's image under it is a term of f with the same
-    coefficient; each image is looked up, and the first miss decides.
+    Each generator is a bijection on exponent vectors, so it fixes f
+    exactly when every term's image under it is a term of f with the
+    same coefficient; each image is looked up, and the first miss
+    decides.
     """
     if f.arity % 2 != 0:
         raise ArityError("symmetry is defined for even arity")
+    if f.arity < 4:
+        return True
     terms = f._terms
-    for k in range(0, f.arity - 2, 2):
+    get = terms.get
+    for exps, c in terms.items():
+        if exps[:2] != exps[2:4] and get(
+                exps[2:4] + exps[:2] + exps[4:]) != c:
+            return False
+    if f.arity > 4:
+        # for n = 2 the shift is the swap
         for exps, c in terms.items():
-            left, right = exps[k:k + 2], exps[k + 2:k + 4]
-            if left != right and terms.get(
-                    exps[:k] + right + left + exps[k + 4:]) != c:
+            if get(exps[-2:] + exps[:-2]) != c:
                 return False
     return True
 

@@ -17,9 +17,15 @@ base/fiber pair "z<2k-1>"/"z<2k>".  The symbol "h" is the deformation
 parameter and is only accepted where a series is expected.  Exponents are
 nonnegative integer literals.
 
+The parser's values are kernel term maps (``starkit._kernel``) on
+arity + 1 variables, the last standing for h, combined by the kernel's
+sums, products and powers; ``parse_poly`` and ``parse_series`` wrap the
+result once.
+
 The printer emits one canonical form: terms in descending graded
 lexicographic order, series coefficients in ascending powers of h, and
-``parse(print(x)) == x`` exactly.
+``parse(print(x)) == x`` exactly.  Within one call it formats each
+variable power and each coefficient once.
 """
 
 from __future__ import annotations
@@ -27,8 +33,9 @@ from __future__ import annotations
 import re as _re
 from math import comb
 
+from . import _kernel as K
 from .errors import ParseError
-from .poly import SparsePoly, grlex_key
+from .poly import SparsePoly
 from .scalars import ExactComplex, format_complex, format_ratio
 from .series import HbarSeries
 
@@ -93,9 +100,14 @@ def _tokenize(text: str):
     return tokens
 
 
+def _degree(t) -> int:
+    """Total degree of a term map; the zero map reports -1."""
+    return max(map(sum, t), default=-1)
+
+
 def _check_terms(bound: int, factors, power: int, col: int) -> None:
-    """Refuse the product of the factors, raised to power, when it could
-    have over MAX_TERMS terms.
+    """Refuse the product of the factors (term maps), raised to power,
+    when it could have over MAX_TERMS terms.
 
     bound counts the products of terms.  The result, of degree d at most
     power times the sum of the factors' degrees, in the v variables the
@@ -104,9 +116,8 @@ def _check_terms(bound: int, factors, power: int, col: int) -> None:
     """
     if bound <= MAX_TERMS:
         return
-    used = len({i for f in factors for e in f._terms
-                for i, x in enumerate(e) if x})
-    degree = power * sum(f.degree() for f in factors)
+    used = len({i for t in factors for e in t for i, x in enumerate(e) if x})
+    degree = power * sum(map(_degree, factors))
     bound = min(bound, comb(used + degree, used))
     if bound > MAX_TERMS:
         raise ParseError(f"up to {bound} terms is over the limit of "
@@ -114,8 +125,8 @@ def _check_terms(bound: int, factors, power: int, col: int) -> None:
 
 
 class _Parser:
-    """Recursive-descent parser producing a SparsePoly in arity+1 variables,
-    the last variable standing for h."""
+    """Recursive-descent parser producing a kernel term map in arity+1
+    variables, the last variable standing for h."""
 
     def __init__(self, text: str, arity: int, allow_h: bool):
         self.tokens = _tokenize(text)
@@ -123,6 +134,7 @@ class _Parser:
         self.arity = arity
         self.allow_h = allow_h
         self.width = arity + 1
+        self.one = (0,) * self.width
         self.depth = 0
 
     def peek(self):
@@ -133,49 +145,49 @@ class _Parser:
         self.idx += 1
         return tok
 
-    def parse(self) -> SparsePoly:
+    def parse(self) -> dict:
         value = self.expr()
         kind, text, col = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", col)
         return value
 
-    def expr(self) -> SparsePoly:
+    def expr(self) -> dict:
         value = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, _ = self.take()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = K.madd(value, rhs) if op == "+" else K.msub(value, rhs)
         return value
 
-    def term(self) -> SparsePoly:
+    def term(self) -> dict:
         value = self.unary()
         while self.peek()[0] in ("*", "/"):
             op, _, col = self.take()
             rhs = self.unary()
             if op == "*":
                 _check_terms(len(value) * len(rhs), (value, rhs), 1, col)
-                value = value * rhs
+                value = K.mmul(value, rhs)
             else:
-                if not rhs.is_constant():
+                if rhs and (len(rhs) > 1 or self.one not in rhs):
                     raise ParseError(
                         "division is only defined by nonzero constants", col)
-                c = rhs.constant_value()
-                if c.is_zero():
+                if not rhs:
                     raise ParseError("division by zero", col)
-                value = value.scale(ExactComplex(1) / c)
+                c = ExactComplex(1) / ExactComplex.from_kernel(rhs[self.one])
+                value = K.mscale(value, c.to_kernel())
         return value
 
-    def unary(self) -> SparsePoly:
+    def unary(self) -> dict:
         sign = 1
         while self.peek()[0] in ("-", "+"):
             op, _, _ = self.take()
             if op == "-":
                 sign = -sign
         value = self.power()
-        return -value if sign < 0 else value
+        return K.mneg(value) if sign < 0 else value
 
-    def power(self) -> SparsePoly:
+    def power(self) -> dict:
         value = self.atom()
         if self.peek()[0] == "^":
             self.take()
@@ -186,11 +198,11 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal", col)
             self.take()
             k = int(text)
-            degree = value.degree() * k
+            degree = _degree(value) * k
             if degree > MAX_DEGREE:
                 raise ParseError(f"degree {degree} is over the limit of "
                                  f"{MAX_DEGREE}", col)
-            bits = k * max((x.bit_length() for c in value._terms.values()
+            bits = k * max((x.bit_length() for c in value.values()
                             for x in c), default=0)
             if bits > MAX_COEFF_BITS:
                 raise ParseError(f"coefficients of about {bits} bits are "
@@ -199,22 +211,23 @@ class _Parser:
             # a multiset: at most C(t + k - 1, k) of them
             _check_terms(comb(max(len(value) + k - 1, 0), k), (value,), k,
                          col)
-            value = value ** k
+            value = K.mpow(value, k, self.width)
         return value
 
-    def atom(self) -> SparsePoly:
+    def atom(self) -> dict:
         kind, text, col = self.take()
         if kind == "int":
-            return SparsePoly.const(self.width, int(text))
+            n = int(text)
+            return {self.one: (n, 1, 0, 1)} if n else {}
         if kind == "i":
-            return SparsePoly.const(self.width, ExactComplex(0, 1))
+            return {self.one: (0, 1, 1, 1)}
         if kind == "h":
             if not self.allow_h:
                 raise ParseError(
                     "'h' is only allowed where a series is expected", col)
-            return SparsePoly.variable(self.width, self.width)
+            return self._variable(self.width)
         if kind == "name":
-            return SparsePoly.variable(self.width, self._var_index(text, col))
+            return self._variable(self._var_index(text, col))
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -229,6 +242,12 @@ class _Parser:
         if kind == "end":
             raise ParseError("expected an operand", col)
         raise ParseError(f"unexpected {text!r}", col)
+
+    def _variable(self, index: int) -> dict:
+        """The term map of z_index (1-based)."""
+        exps = [0] * self.width
+        exps[index - 1] = 1
+        return {tuple(exps): K.CONE}
 
     def _var_index(self, name: str, col: int) -> int:
         letter, k = name[0], int(name[1:])
@@ -249,15 +268,15 @@ class _Parser:
 def parse_poly(text: str, arity: int) -> SparsePoly:
     """Parse a polynomial in z1..z<arity>; 'h' is rejected."""
     wide = _Parser(text, arity, allow_h=False).parse()
-    raw = {exps[:-1]: coeff for exps, coeff in wide._terms.items()}
-    return SparsePoly._from_raw(arity, raw)
+    return SparsePoly._from_raw(arity, {exps[:-1]: coeff
+                                        for exps, coeff in wide.items()})
 
 
 def parse_series(text: str, arity: int, order: int) -> HbarSeries:
     """Parse a series in z1..z<arity> and h, truncated at the given order."""
     wide = _Parser(text, arity, allow_h=True).parse()
     coeffs = [dict() for _ in range(order + 1)]
-    for exps, coeff in wide._terms.items():
+    for exps, coeff in wide.items():
         k = exps[-1]
         if k <= order:
             coeffs[k][exps[:-1]] = coeff
@@ -286,34 +305,24 @@ def _default_names(arity: int):
     return tuple(f"z{k}" for k in range(1, arity + 1))
 
 
-def _monomial_str(exps, names) -> str:
-    parts = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
-def _term_piece(exps, c, names) -> tuple[int, str]:
-    """Return (sign, body) for one term with kernel coefficient c;
-    mixed coefficients keep sign +1."""
-    mono = _monomial_str(exps, names)
+def _coefficient(c, has_monomial: bool) -> tuple[int, str]:
+    """(sign, prefix) for kernel coefficient c: the text that goes before
+    a monomial (ending in "*", or empty for a unit real), or the whole
+    constant term; mixed coefficients keep sign +1."""
     rn, rd, jn, jd = c
     if jn == 0:
-        if mono and rn in (1, -1) and rd == 1:
-            return rn, mono
-        mag = format_ratio(abs(rn), rd)
-        return (1 if rn > 0 else -1), f"{mag}*{mono}" if mono else mag
-    if rn == 0:
+        if has_monomial and rn in (1, -1) and rd == 1:
+            return rn, ""
+        sign, text = (1 if rn > 0 else -1), format_ratio(abs(rn), rd)
+    elif rn == 0:
+        sign = 1 if jn > 0 else -1
         if jn in (1, -1) and jd == 1:
-            unit = "i"
+            text = "i"
         else:
-            unit = f"{format_ratio(abs(jn), jd)}*i"
-        return (1 if jn > 0 else -1), f"{unit}*{mono}" if mono else unit
-    body = f"({format_complex(c)})"
-    return 1, f"{body}*{mono}" if mono else body
+            text = f"{format_ratio(abs(jn), jd)}*i"
+    else:
+        sign, text = 1, f"({format_complex(c)})"
+    return sign, f"{text}*" if has_monomial else text
 
 
 def _join(pieces) -> str:
@@ -326,38 +335,59 @@ def _join(pieces) -> str:
     return "".join(out)
 
 
-def _pieces(p: SparsePoly, names) -> list:
-    """(sign, body) per term, in descending graded lexicographic order."""
+def _pieces(p: SparsePoly, names, powers: dict, prefixes: dict) -> list:
+    """(sign, body) per term, in descending graded lexicographic order.
+
+    powers maps (variable, exponent) to its text and prefixes maps
+    (coefficient, has monomial) to _coefficient's result; both are
+    filled as pieces are first met, so a caller formats each once.
+    """
     terms = p._terms
-    return [_term_piece(e, terms[e], names)
-            for e in sorted(terms, key=grlex_key, reverse=True)]
+    out = []
+    for _, exps in sorted([(sum(e), e) for e in terms], reverse=True):
+        parts = []
+        for j, e in enumerate(exps):
+            if e:
+                text = powers.get((j, e))
+                if text is None:
+                    text = powers[j, e] = (names[j] if e == 1
+                                           else f"{names[j]}^{e}")
+                parts.append(text)
+        mono = "*".join(parts)
+        key = (terms[exps], bool(parts))
+        piece = prefixes.get(key)
+        if piece is None:
+            piece = prefixes[key] = _coefficient(*key)
+        out.append((piece[0], piece[1] + mono))
+    return out
 
 
 def poly_to_str(p: SparsePoly, names=None) -> str:
     if p.is_zero():
         return "0"
     names = names or _default_names(p.arity)
-    return _join(_pieces(p, names))
+    return _join(_pieces(p, names, {}, {}))
 
 
 def series_to_str(s: HbarSeries, names=None) -> str:
     names = names or _default_names(s.arity)
+    powers: dict = {}
+    prefixes: dict = {}
     pieces = []
     for k in range(s.order + 1):
         p = s.coeffs[k]
         if p.is_zero():
             continue
         if k == 0:
-            pieces.extend(_pieces(p, names))
+            pieces.extend(_pieces(p, names, powers, prefixes))
             continue
         hpow = "h" if k == 1 else f"h^{k}"
         if len(p) == 1:
-            ((exps, coeff),) = p._terms.items()
-            sign, body = _term_piece(exps, coeff, names)
-            body = hpow if body == "1" else f"{body}*{hpow}"
-            pieces.append((sign, body))
+            ((sign, body),) = _pieces(p, names, powers, prefixes)
+            pieces.append((sign, hpow if body == "1" else f"{body}*{hpow}"))
         else:
-            pieces.append((1, f"({poly_to_str(p, names)})*{hpow}"))
+            body = _join(_pieces(p, names, powers, prefixes))
+            pieces.append((1, f"({body})*{hpow}"))
     if not pieces:
         return "0"
     return _join(pieces)

@@ -182,14 +182,8 @@ class SparsePoly(Immutable):
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ArityError("polynomial exponents must be nonnegative ints")
-        out = SparsePoly.const(self.arity, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return SparsePoly._from_raw(self.arity,
+                                    K.mpow(self._terms, k, self.arity))
 
     # -- calculus and substitution -----------------------------------------
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -205,6 +206,12 @@ def nested(levels: int) -> str:
     (["symmetrize", "--n", str(cli.MAX_SYMMETRIZE_COPIES + 1), "q1"],
      f"symmetrize --n {cli.MAX_SYMMETRIZE_COPIES + 1} is over the limit "
      f"of {cli.MAX_SYMMETRIZE_COPIES}"),
+    # nine distinct blocks each: two orbits of 9! images, twice the limit
+    (["symmetrize", "--n", "9",
+      "q1*p2^2*q3^3*p4^4*q5^5*p6^6*q7^7*p8^8*q9^9"
+      " + p1*q2^2*p3^3*q4^4*p5^5*q6^6*p7^7*q8^8*p9^9"],
+     f"symmetrize would write {2 * math.factorial(9)} orbit images, over "
+     f"the limit of {math.factorial(cli.MAX_SYMMETRIZE_COPIES)}"),
     (["bracket", "--form", fixture_path("form_dim17.json"), "z1", "z2"],
      f"form dimension 17 is over the limit of {cli.MAX_FORM_DIM}"),
     (["verify-dq", "--count", str(cli.MAX_COUNT + 1)],
@@ -661,6 +668,13 @@ PINNED_RUNS = {
         1,
         "4ea0a4eec8375ca7ca302759f51793ea6a2467debd02c6ffd6f91655bcc4de3d",
         "1c1ebdae09da3296b07e3a1b778a081eeb81bb56f6008f02bf0102dee464fe62"),
+    # an orbit average of 3,600 terms at the copy limit, from a real, an
+    # imaginary and a mixed coefficient and exponents past 9
+    "symmetrize-9": (
+        ("symmetrize", "--n", "9", "3/2*q1^10*p2*q3^2*p4^3"
+         " - 2/5*i*q1^2*p1*q2*p3 + (1/2 - 7/3*i)*p1^11*q2^3*p2"), 0,
+        "e23b53a353305ce5dc4229fb9b35c5989939fecb62dd1d714340d97fe6d33123",
+        "457b3491002b9094030b19980dfc4d86c13109d6485f1de493d63029b82548c7"),
     "verify-transport-broken": (
         ("verify-transport", "--map", "tests/fixtures/broken_map.json"), 1,
         "0b6dc648bb9c8734d69a408e21a98a79cf6d23289e00f901cb963c814be1df3e",

@@ -211,6 +211,19 @@ def test_mmul_commutes_and_has_no_zero_entries(t1, t2):
         assert c == norm_coeff(c) and c[1] > 0 and c[3] > 0
 
 
+@settings(max_examples=60)
+@given(st.dictionaries(exps, nonzero_coeffs, min_size=1, max_size=1),
+       term_maps)
+def test_mmul_by_one_term_is_the_packed_product(t1, t2):
+    # a one-term factor skips lift and lower; the result is the same map,
+    # in the same order, as the packed route gives
+    (p1, p2), den, width = K.lift(t1, t2)
+    want = K.lower(K.maddmul({}, p1, p2, 1, 0), den, 2, width)
+    for p in (K.mmul(t1, t2), K.mmul(t2, t1)):
+        assert list(p.items()) == list(want.items())
+        assert all(c[0] != 0 or c[2] != 0 for c in p.values())
+
+
 def _map_to_sympy(t, x, y):
     total = sympy.Integer(0)
     for (e1, e2), (rn, rd, jn, jd) in t.items():

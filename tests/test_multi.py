@@ -216,6 +216,11 @@ def test_is_symmetric_edge_cases():
     unequal = dict(avg._terms)
     unequal[(0, 0, 1, 0, 0, 1)] = (1, 1, 0, 1)
     assert not multi.is_symmetric(SparsePoly._from_raw(6, unequal))
+    # fixed by the cyclic shift of the copies, moved by every swap
+    cyclic = (ps.zeta(1) * ps.lam(2) + ps.zeta(2) * ps.lam(3)
+              + ps.zeta(3) * ps.lam(1))
+    assert multi.permute_poly(multi.Permutation([1, 2, 0]), cyclic) == cyclic
+    assert not multi.is_symmetric(cyclic)
     with pytest.raises(ArityError):
         multi.is_symmetric(SparsePoly(3, {(1, 0, 0): 1}))
 

@@ -1,6 +1,8 @@
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import poly_to_sympy, symbols_for
 
 from starkit.corpus import random_poly
 from starkit.errors import ArityError, ParseError
@@ -162,3 +164,71 @@ def test_term_limit_refuses_products_and_powers():
     # 364 times 1365 term products, C(19, 7) monomials of degree 7 or less
     with pytest.raises(ParseError, match="up to 50388 terms"):
         parse_poly(f"{TWELVE}^3*{TWELVE}^4", 12)
+
+
+# -- the text layer against sympy ------------------------------------------
+
+ARITY = 18
+SYMS = symbols_for(ARITY)
+# sympy reads our text with "^" as "**", q<k>/p<k> as z<2k-1>/z<2k> and
+# i as the imaginary unit
+SYMPY_NAMES = {"i": sympy.I,
+               **{f"z{k}": SYMS[k - 1] for k in range(1, ARITY + 1)},
+               **{f"q{k}": SYMS[2 * k - 2] for k in range(1, ARITY // 2 + 1)},
+               **{f"p{k}": SYMS[2 * k - 1] for k in range(1, ARITY // 2 + 1)}}
+PRODUCT_NAMES = tuple(f"{c}{k}" for k in range(1, ARITY // 2 + 1)
+                      for c in "qp")
+
+
+def sympy_reads(text: str) -> sympy.Expr:
+    return sympy.expand(sympy.parse_expr(text.replace("^", "**"),
+                                         local_dict=SYMPY_NAMES))
+
+
+_ATOMS = st.one_of(
+    st.integers(1, ARITY).map(lambda k: f"z{k}"),
+    st.integers(1, ARITY // 2).map(lambda k: f"q{k}"),
+    st.integers(1, ARITY // 2).map(lambda k: f"p{k}"),
+    st.integers(0, 12).map(str),
+    st.just("i"))
+# nonzero constants, as "/" allows
+_DIVISORS = st.sampled_from(["2", "3", "7", "i", "(1+i)", "(2 - 3*i)",
+                             "(1/2)", "-5"])
+
+
+@st.composite
+def expression_texts(draw, depth=3):
+    """Expression text of nesting at most depth; degree at most 24."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        atom = draw(_ATOMS)
+        k = draw(st.integers(0, 3))
+        return atom if k == 1 else f"{atom}^{k}"
+    kind = draw(st.sampled_from(["+", "-", "*", "/", "()", "^", "neg"]))
+    a = draw(expression_texts(depth - 1))
+    if kind in ("+", "-", "*"):
+        b = draw(expression_texts(depth - 1))
+        return f"{a} {kind} {b}"
+    if kind == "/":
+        return f"{a}/{draw(_DIVISORS)}"
+    if kind == "()":
+        return f"({a})"
+    if kind == "^":
+        return f"({a})^{draw(st.integers(0, 2))}"
+    return f"-{a}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(expression_texts())
+def test_parser_agrees_with_sympy(text):
+    f = parse_poly(text, ARITY)
+    assert poly_to_sympy(f, SYMS) == sympy_reads(text), text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(expression_texts().map(lambda t: parse_poly(t, ARITY)),
+                 st.integers(0, 10_000).map(
+                     lambda seed: random_poly(ARITY, 4, seed))),
+       st.sampled_from([None, PRODUCT_NAMES]))
+def test_sympy_reads_the_printed_text(f, names):
+    text = poly_to_str(f, names)
+    assert sympy_reads(text) == poly_to_sympy(f, SYMS), text

@@ -28,9 +28,10 @@ bits is an ``InputError``.  Since every field is whole bytes, a key is
 the little-endian bytes of its exponent tuple, so lift packs a term and
 ``lower`` unpacks it in one C call each, whatever the number of
 variables, through one ``struct.Struct`` of the map's arity and field
-width.  ``lower`` takes the width lift returned, and ``fields`` gives
-the mask of each variable's field, so a caller learns which variables
-a packed map holds from the OR of its keys without knowing the layout.
+width, built once per (arity, width) and kept.  ``lower`` takes the
+width lift returned, and ``fields`` gives the mask of each variable's
+field, so a caller learns which variables a packed map holds from the
+OR of its keys without knowing the layout.
 ``maddmul`` is the one loop over pairs of terms, ``mdiff`` multiplies
 numerators by the exponent and keeps D, and ``lower`` divides by the
 positive denominator the caller tracked, with one gcd per part,
@@ -156,18 +157,23 @@ def lift(*maps, width=None):
     if width is None:
         width = sum(max(map(max, t), default=0) for t in maps).bit_length()
     width = _field_width(width)
-    code = _CODES[width]
     from_bytes = int.from_bytes
     packed = []
     den = 1
     for t in maps:
         d = lcm(*{x for c in t.values() for x in (c[1], c[3])})
-        pack = Struct(f"<{len(next(iter(t), ()))}{code}").pack
+        pack = _struct(len(next(iter(t), ())), width).pack
         packed.append({from_bytes(pack(*e), "little"):
                        (rn * (d // rd), jn * (d // jd))
                        for e, (rn, rd, jn, jd) in t.items()})
         den *= d
     return packed, den, width
+
+
+@lru_cache(maxsize=64)
+def _struct(arity, width):
+    """The Struct that packs a key of arity fields of this width."""
+    return Struct(f"<{arity}{_CODES[width]}")
 
 
 @lru_cache(maxsize=64)
@@ -181,8 +187,10 @@ def fields(arity, width):
 def lower(p, den, arity, width):
     """The normalized term map of p / den, den positive; zero terms are
     dropped.  width is the one lift returned."""
+    if not p:
+        return {}
     size = arity * width // 8
-    unpack = Struct(f"<{arity}{_CODES[width]}").unpack
+    unpack = _struct(arity, width).unpack
     out = {}
     for key, (a, b) in p.items():
         if a or b:

@@ -21,11 +21,22 @@ are (zeta, lambda) -> (zeta + c, lambda).  Functions on a chart are
 polynomials of arity 2 in the order (zeta, lambda), the form is the
 standard block (so the bracket has {zeta, lambda} = -1), and the chart
 quantization is the Moyal product in those coordinates.
+
+Known answers are not recomputed.  A translation's inverse negates its
+shift, two translations compose by adding shifts, and a translation's
+symplectic residual is zero, so only a chart map that is not a
+translation multiplies matrices.  The agreement check stars once on an
+identity overlap, where the product in the destination chart would be
+the one in the source chart.  The simplicity test of the polygon scales the vertices to
+integers once and tests every pair of edges by integer cross and dot
+products; a surface of more than MAX_EDGES edges is refused before its
+edges are read, since that test is quadratic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import ArityError, Immutable, InputError, Record, load_json
@@ -57,6 +68,12 @@ def _require_real_rational(value, what: str) -> Fraction:
     raise InputError(f"{what} must be an exact rational \"p/q\" string")
 
 
+# ingest tests every pair of edges for a crossing, so its cost grows with
+# the square of the edge count; a surface with more edges is refused
+# before any edge is read
+MAX_EDGES = 1000
+
+
 class PolygonGluing(Immutable):
     """Raw gluing data: edge vectors in ccw order plus an edge pairing."""
 
@@ -83,6 +100,9 @@ class PolygonGluing(Immutable):
         for key in ("edges", "pairing"):
             if not isinstance(data[key], list):
                 raise InputError(f"surface {key} must be a list")
+        if len(data["edges"]) > MAX_EDGES:
+            raise InputError(f"surface has {len(data['edges'])} edges, over "
+                             f"the limit of {MAX_EDGES}")
         edges = []
         for k, entry in enumerate(data["edges"]):
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
@@ -104,6 +124,7 @@ class PolygonGluing(Immutable):
 
 
 _IDENTITY = linalg.identity(2)
+_ZERO = ((ExactComplex(0),) * 2,) * 2
 
 
 class ChartMap(Immutable):
@@ -119,10 +140,14 @@ class ChartMap(Immutable):
         sh = tuple(ExactComplex.coerce(x) for x in shift)
         if len(sh) != 2:
             raise InputError("chart map shift must have length 2")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "shift", sh)
-        object.__setattr__(self, "_shift_k", tuple(x.to_kernel() for x in sh))
-        object.__setattr__(self, "_translation", mat == _IDENTITY)
+        self._fill(mat, sh, mat == _IDENTITY)
+
+    def _fill(self, matrix, shift, translation: bool) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "_shift_k",
+                           tuple(x.to_kernel() for x in shift))
+        object.__setattr__(self, "_translation", translation)
         object.__setattr__(self, "_inverse", None)
         # the Taylor-shift weights per shift component and degree, filled
         # by pull() as degrees come up
@@ -131,27 +156,42 @@ class ChartMap(Immutable):
     @classmethod
     def translation(cls, c) -> "ChartMap":
         """The chart change (zeta, lambda) -> (zeta + c, lambda)."""
-        return cls(_IDENTITY, (ExactComplex.coerce(c), ExactComplex(0)))
+        return cls._shifted((ExactComplex.coerce(c), ExactComplex(0)))
+
+    @classmethod
+    def _shifted(cls, shift: tuple) -> "ChartMap":
+        """The translation v -> v + shift, shift a pair of ExactComplex."""
+        out = object.__new__(cls)
+        out._fill(_IDENTITY, shift, True)
+        return out
 
     def inverse(self) -> "ChartMap":
-        """v -> A^-1 v - A^-1 s, with A^-1 the adjugate over det A.
+        """v -> A^-1 v - A^-1 s, with A^-1 the adjugate over det A; a
+        translation's inverse negates its shift.
 
         Computed on the first call and kept on the map.
         """
         if self._inverse is None:
-            (a, b), (c, d) = self.matrix
-            det = a * d - b * c
-            if det.is_zero():
-                raise InputError("matrix is singular")
-            r = 1 / det
-            inv = ((d * r, -b * r), (-c * r, a * r))
-            s = linalg.mat_vec(inv, self.shift)
-            object.__setattr__(self, "_inverse",
-                               ChartMap(inv, tuple(-x for x in s)))
+            if self._translation:
+                inverse = ChartMap._shifted(tuple(-x for x in self.shift))
+            else:
+                (a, b), (c, d) = self.matrix
+                det = a * d - b * c
+                if det.is_zero():
+                    raise InputError("matrix is singular")
+                r = 1 / det
+                inv = ((d * r, -b * r), (-c * r, a * r))
+                s = linalg.mat_vec(inv, self.shift)
+                inverse = ChartMap(inv, tuple(-x for x in s))
+            object.__setattr__(self, "_inverse", inverse)
         return self._inverse
 
     def compose(self, other: "ChartMap") -> "ChartMap":
-        """self after other: v -> self(other(v))."""
+        """self after other: v -> self(other(v)); two translations add
+        their shifts."""
+        if self._translation and other._translation:
+            return ChartMap._shifted(tuple(
+                x + y for x, y in zip(other.shift, self.shift)))
         mat = linalg.mat_mul(self.matrix, other.matrix)
         s = linalg.mat_vec(self.matrix, other.shift)
         return ChartMap(mat, tuple(x + y for x, y in zip(s, self.shift)))
@@ -168,7 +208,10 @@ class ChartMap(Immutable):
         return f.affine_subst(self.matrix, self.shift)
 
     def symplectic_residual(self, form: SymplecticForm):
-        """A^T Theta A - Theta; zero exactly when the map preserves the form."""
+        """A^T Theta A - Theta; zero exactly when the map preserves the form,
+        so the zero matrix for a translation, where A = I."""
+        if self._translation:
+            return _ZERO
         return linalg.congruence_residual(linalg.transpose(self.matrix),
                                           form.matrix)
 
@@ -276,32 +319,40 @@ def _step_crossings(a: ExactComplex, b: ExactComplex) -> int:
 
 
 def _segments_conflict(a1, a2, b1, b2, shared) -> bool:
-    """Whether segments [a1,a2] and [b1,b2] meet anywhere besides shared."""
-    d1 = a2 - a1
-    d2 = b2 - b1
-    w = b1 - a1
-    denom = _cross(d1, d2)
-    if denom != 0:
-        s = _cross(w, d2) / denom
-        t = _cross(w, d1) / denom
-        if 0 <= s <= 1 and 0 <= t <= 1:
-            point = a1 + d1 * s
-            return shared is None or point != shared
-        return False
-    if _cross(w, d1) != 0:
-        return False
-    # collinear: compare parameter intervals along d1
-    dd = _dot(d1, d1)
-    t0 = _dot(b1 - a1, d1) / dd
-    t1 = _dot(b2 - a1, d1) / dd
-    lo, hi = min(t0, t1), max(t0, t1)
-    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
-    if lo > hi:
-        return False
-    if lo < hi:
-        return True
-    point = a1 + d1 * lo
-    return shared is None or point != shared
+    """Whether segments [a1,a2] and [b1,b2] meet anywhere besides shared.
+
+    Points are integer pairs (x, y).  A meeting point a1 + d1 * n / den
+    is found and tested by integer cross and dot products, comparing
+    numerators against the positive denominator den without dividing.
+    """
+    x1, y1 = a1
+    dx1, dy1 = a2[0] - x1, a2[1] - y1
+    dx2, dy2 = b2[0] - b1[0], b2[1] - b1[1]
+    wx, wy = b1[0] - x1, b1[1] - y1
+    den = dx1 * dy2 - dy1 * dx2
+    if den:
+        n = wx * dy2 - wy * dx2
+        tn = wx * dy1 - wy * dx1
+        if den < 0:
+            den, n, tn = -den, -n, -tn
+        if not (0 <= n <= den and 0 <= tn <= den):
+            return False
+    else:
+        if wx * dy1 - wy * dx1:
+            return False
+        # collinear: the parameter interval of [b1, b2] along d1, all
+        # over den = |d1|^2, clipped to [a1, a2]
+        den = dx1 * dx1 + dy1 * dy1
+        t0 = wx * dx1 + wy * dy1
+        t1 = (b2[0] - x1) * dx1 + (b2[1] - y1) * dy1
+        lo, hi = max(min(t0, t1), 0), min(max(t0, t1), den)
+        if lo > hi:
+            return False
+        if lo < hi:
+            return True
+        n = lo
+    return shared is None or (dx1 * n != den * (shared[0] - x1)
+                              or dy1 * n != den * (shared[1] - y1))
 
 
 def ingest_polygon(pg: PolygonGluing) -> TranslationSurface:
@@ -357,24 +408,30 @@ def ingest_polygon(pg: PolygonGluing) -> TranslationSurface:
         vertices.append(vertices[-1] + e)
     vertices = tuple(vertices)
 
-    area2 = Fraction(0)
-    for t in range(m):
-        area2 += _cross(vertices[t], vertices[(t + 1) % m])
+    # the simplicity tests run on the vertices scaled to integers by the
+    # lcm of their denominators, which keeps every sign and every meeting
+    parts = [v.to_kernel() for v in vertices]
+    scale = lcm(*(d for rn, rd, jn, jd in parts for d in (rd, jd)))
+    points = [(rn * (scale // rd), jn * (scale // jd))
+              for rn, rd, jn, jd in parts]
+
+    area2 = sum(p[0] * q[1] - p[1] * q[0]
+                for p, q in zip(points, points[1:] + points[:1]))
     if area2 <= 0:
         raise InputError("polygon must be simple and counterclockwise "
-                         f"(signed area {area2}/2)")
+                         f"(signed area {Fraction(area2, scale * scale)}/2)")
 
     for s in range(m):
+        a1, a2 = points[s], points[(s + 1) % m]
         for t in range(s + 1, m):
-            a1, a2 = vertices[s], vertices[(s + 1) % m]
-            b1, b2 = vertices[t], vertices[(t + 1) % m]
             if t == s + 1:
-                shared = vertices[t]
+                shared = points[t]
             elif s == 0 and t == m - 1:
-                shared = vertices[0]
+                shared = points[0]
             else:
                 shared = None
-            if _segments_conflict(a1, a2, b1, b2, shared):
+            if _segments_conflict(a1, a2, points[t], points[(t + 1) % m],
+                                  shared):
                 raise InputError(
                     f"polygon boundary crosses itself (edges {s} and {t})")
 
@@ -558,13 +615,24 @@ def overlap_agreement_check(surface: TranslationSurface, overlap, f, g,
     overlap's recorded transition.  The return leg always uses the surface
     data, so a corrupted forward transition shows up as a mismatch instead
     of silently cancelling.
+
+    Every chart carries the same product, so on an identity overlap the
+    second product is the first: an identity inverse leaves the inputs as
+    they are, and an identity recorded transition leaves the product.
     """
     ov = surface.find_overlap(overlap)
     forward = transition if transition is not None else ov.transition
     direct = chart_star(surface, ov.src, f, g, order)
     back = forward.inverse()
-    remote = chart_star(surface, ov.dst, back.pull(f), back.pull(g), order)
-    returned = remote.map_coeffs(ov.transition.pull)
+    if back.is_identity():
+        remote = direct
+    else:
+        remote = chart_star(surface, ov.dst, back.pull(f), back.pull(g),
+                            order)
+    if ov.transition.is_identity():
+        returned = remote
+    else:
+        returned = remote.map_coeffs(ov.transition.pull)
     rep = Report("overlap agreement")
     rep.add_equal(f"{ov.src}->{ov.dst} [{ov.component}]", direct, returned)
     return rep

@@ -3,6 +3,14 @@
 Identical (generator, seed) pairs must produce identical values across
 runs and platforms, so everything funnels through one string-seeded PRNG
 and the version tag below changes whenever the sampling logic does.
+
+The coefficient and polynomial draws (``_rational``, ``_poly``), which
+every seeded check makes, take their integers from ``_below``.  It
+repeats what ``randint`` and ``randrange`` do underneath
+(``Random._randbelow_with_getrandbits``) without their argument
+handling, so it consumes the generator exactly as they do and every
+stream, including those that mix it with ``randint`` on one generator,
+is unchanged.
 """
 
 from __future__ import annotations
@@ -24,13 +32,23 @@ def _rng(tag: str, seed: int) -> random.Random:
     return random.Random(f"starkit:{CORPUS_VERSION}:{tag}:{seed}")
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n), n > 0, drawn the same way: getrandbits of n's
+    bit length, again while the draw is n or more."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _rational(rng: random.Random, zero_ok: bool = True) -> tuple:
     """A drawn rational as a normalized kernel pair (num, den)."""
-    num = rng.randint(-4, 4)
+    num = _below(rng, 9) - 4
     if not zero_ok:
         while num == 0:
-            num = rng.randint(-4, 4)
-    return K.qnorm(num, rng.randint(1, 3))
+            num = _below(rng, 9) - 4
+    return K.qnorm(num, _below(rng, 3) + 1)
 
 
 def _coeff(rng: random.Random, zero_ok: bool = False) -> tuple:
@@ -48,11 +66,11 @@ def _scalar(rng: random.Random, zero_ok: bool = False) -> ExactComplex:
 
 def _poly(rng: random.Random, arity: int, max_degree: int) -> SparsePoly:
     terms = {}
-    for _ in range(rng.randint(1, 4)):
-        degree = rng.randint(0, max_degree)
+    for _ in range(_below(rng, 4) + 1):
+        degree = _below(rng, max_degree + 1)
         exps = [0] * arity
         for _ in range(degree):
-            exps[rng.randrange(arity)] += 1
+            exps[_below(rng, arity)] += 1
         terms[tuple(exps)] = _coeff(rng)
     return SparsePoly._from_raw(arity, terms)
 

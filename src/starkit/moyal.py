@@ -272,16 +272,15 @@ class StarProduct(Immutable):
             order = self.order
         if order < 0:
             raise InputError("order must be nonnegative")
-        return HbarSeries([SparsePoly._from_raw(self.dim, t)
-                           for t in self._bidiff(order, (f,), (g,))])
+        return HbarSeries._from_raw(self.dim,
+                                    self._bidiff(order, (f,), (g,)))
 
     def star_series(self, F: HbarSeries, G: HbarSeries) -> HbarSeries:
         """Star product of two series, truncated at the smaller order."""
         if F.arity != self.dim or G.arity != self.dim:
             raise ArityError(f"expected arity {self.dim}")
-        return HbarSeries([SparsePoly._from_raw(self.dim, t) for t in
-                           self._bidiff(min(F.order, G.order), F.coeffs,
-                                        G.coeffs)])
+        return HbarSeries._from_raw(self.dim, self._bidiff(
+            min(F.order, G.order), F.coeffs, G.coeffs))
 
     def commutator(self, f: SparsePoly, g: SparsePoly,
                    order: int | None = None) -> HbarSeries:

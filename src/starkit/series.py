@@ -31,6 +31,19 @@ class HbarSeries(Immutable):
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @classmethod
+    def _from_raw(cls, arity: int, maps) -> "HbarSeries":
+        """The series whose coefficients are the term maps the caller
+        vouches for (see SparsePoly._from_raw), one per h-power, at least
+        one; the empty maps share one zero polynomial."""
+        zero = SparsePoly._from_raw(arity, {})
+        out = object.__new__(cls)
+        object.__setattr__(out, "arity", arity)
+        object.__setattr__(out, "order", len(maps) - 1)
+        object.__setattr__(out, "coeffs", tuple(
+            SparsePoly._from_raw(arity, t) if t else zero for t in maps))
+        return out
+
+    @classmethod
     def zero(cls, arity: int, order: int) -> "HbarSeries":
         z = SparsePoly.zero(arity)
         return cls([z] * (order + 1))

@@ -11,6 +11,16 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def symmetric_polygon(pairs: int) -> dict:
+    """Surface JSON of a convex polygon with 2 * pairs edges, each glued to
+    its opposite: the edges (1, k) turn counterclockwise, then repeat
+    reversed."""
+    half = [(1, k - pairs // 2) for k in range(pairs)]
+    edges = half + [(-x, -y) for x, y in half]
+    return {"edges": [[str(x), str(y)] for x, y in edges],
+            "pairing": [[k, k + pairs] for k in range(pairs)]}
+
+
 @pytest.fixture(scope="session")
 def square_surface():
     return atlas.ingest_polygon(atlas.PolygonGluing.from_file(

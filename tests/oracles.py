@@ -96,3 +96,41 @@ def ref_star(fs, gs, pi, syms, order: int, h) -> sympy.Expr:
 
 def frac(text) -> Fraction:
     return Fraction(text)
+
+
+def _cross(a, b) -> Fraction:
+    return a.re * b.im - a.im * b.re
+
+
+def _dot(a, b) -> Fraction:
+    return a.re * b.re + a.im * b.im
+
+
+def segments_conflict(a1, a2, b1, b2, shared) -> bool:
+    """Whether segments [a1,a2] and [b1,b2] of ExactComplex points meet
+    anywhere besides shared, by solving for the crossing in Fractions."""
+    d1 = a2 - a1
+    d2 = b2 - b1
+    w = b1 - a1
+    denom = _cross(d1, d2)
+    if denom != 0:
+        s = _cross(w, d2) / denom
+        t = _cross(w, d1) / denom
+        if 0 <= s <= 1 and 0 <= t <= 1:
+            point = a1 + d1 * s
+            return shared is None or point != shared
+        return False
+    if _cross(w, d1) != 0:
+        return False
+    # collinear: compare parameter intervals along d1
+    dd = _dot(d1, d1)
+    t0 = _dot(b1 - a1, d1) / dd
+    t1 = _dot(b2 - a1, d1) / dd
+    lo, hi = min(t0, t1), max(t0, t1)
+    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+    if lo > hi:
+        return False
+    if lo < hi:
+        return True
+    point = a1 + d1 * lo
+    return shared is None or point != shared

@@ -2,14 +2,18 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starkit import atlas, linalg
-from starkit.corpus import random_poly_pairs
+from starkit.corpus import random_poly_pairs, random_translations
 from starkit.errors import InputError
+from starkit.moyal import StarProduct
 from starkit.poly import SparsePoly
 from starkit.scalars import ExactComplex
 
-from conftest import fixture_path
+from conftest import fixture_path, symmetric_polygon
+from oracles import segments_conflict
 
 
 def ingest(edges, pairing):
@@ -114,6 +118,82 @@ def test_rejects_self_crossing_boundary():
         ingest(edges, [[0, 2], [1, 4], [3, 5]])
 
 
+@pytest.mark.parametrize("scale", [(1, 1), (Fraction(1, 3), Fraction(5, 2))],
+                         ids=["integer", "rational"])
+@pytest.mark.parametrize("edges, pairing, message", [
+    # closes, pairs opposite edges, positive area, yet edges 0 and 3 cross
+    ([(3, 0), (1, 2), (-3, 0), (1, -2), (-1, -2), (-1, 2)],
+     [[0, 2], [1, 4], [3, 5]], "edges 0 and 3"),
+    # no two edges cross, yet vertex 1 = (2, 1) lies inside edge 3, from
+    # (2, 0) to (2, 3)
+    ([(2, 1), (2, 0), (-2, -1), (0, 3), (-2, 0), (0, -3)],
+     [[0, 2], [1, 4], [3, 5]], "edges 0 and 3"),
+], ids=["crossing", "touching"])
+def test_rejects_boundary_meeting_itself(edges, pairing, message, scale):
+    # stretching each axis by a positive rational keeps every meeting
+    edges = [[str(x * scale[0]), str(y * scale[1])] for x, y in edges]
+    with pytest.raises(InputError,
+                       match=rf"crosses itself \({message}\)"):
+        ingest(edges, pairing)
+
+
+def test_rational_edges_ingest():
+    e0, e1 = ["1/2", "1/3"], ["-1/5", "2/7"]
+    s = ingest([e0, e1, ["-1/2", "-1/3"], ["1/5", "-2/7"]],
+               [[0, 2], [1, 3]])
+    assert s.genus == 1
+    assert s.find_overlap("side2").constant == -ExactComplex(
+        Fraction(e1[0]), Fraction(e1[1]))
+    assert s.find_overlap("side3").constant == ExactComplex(
+        Fraction(e0[0]), Fraction(e0[1]))
+
+
+# points on a small grid of halves, so that collinear, touching and
+# shared-endpoint pairs of segments come up often
+GRID = st.tuples(st.integers(-2, 4), st.integers(-2, 4)).map(
+    lambda p: (Fraction(p[0], 2), Fraction(p[1], 2)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(GRID, GRID, GRID, GRID, st.sampled_from(["apart", "chain", "close"]))
+def test_integer_segment_test_matches_the_fraction_oracle(a1, a2, b1, b2,
+                                                          joint):
+    # ingest's three cases: segments apart, consecutive edges sharing
+    # a2 = b1, and the last edge closing onto the first at a1 = b2
+    if joint == "chain":
+        b1 = a2
+    elif joint == "close":
+        b2 = a1
+    if a1 == a2 or b1 == b2:
+        return
+    shared = {"apart": None, "chain": a2, "close": a1}[joint]
+
+    def scaled(p):
+        return None if p is None else (int(2 * p[0]), int(2 * p[1]))
+
+    def exact(p):
+        return None if p is None else ExactComplex(*p)
+
+    want = segments_conflict(*map(exact, (a1, a2, b1, b2, shared)))
+    got = atlas._segments_conflict(*map(scaled, (a1, a2, b1, b2, shared)))
+    assert got == want
+
+
+def test_ingest_at_the_edge_limit():
+    surface = atlas.ingest_json(symmetric_polygon(atlas.MAX_EDGES // 2))
+    # a 2n-gon with opposite sides glued, n even: one vertex, genus n / 2
+    assert len(surface.edges) == atlas.MAX_EDGES
+    assert surface.genus == atlas.MAX_EDGES // 4
+    assert surface.zero_orders() == [2 * surface.genus - 2]
+
+
+def test_rejects_too_many_edges():
+    data = symmetric_polygon(atlas.MAX_EDGES // 2 + 1)
+    with pytest.raises(InputError, match=f"surface has {atlas.MAX_EDGES + 2} "
+                       f"edges, over the limit of {atlas.MAX_EDGES}"):
+        atlas.PolygonGluing.from_json(data)
+
+
 def test_rejects_floats_in_json():
     with pytest.raises(InputError, match="not a float"):
         atlas.PolygonGluing.from_json(
@@ -208,6 +288,23 @@ def test_chart_map_symplectic_residual():
     assert not linalg.is_zero_matrix(bad.symplectic_residual(form))
 
 
+def test_translation_closed_forms_match_the_matrices():
+    form = atlas.chart_form()
+    shifts = random_translations(2, 6, seed=3)
+    maps = [atlas.ChartMap([[1, 0], [0, 1]], s) for s in shifts]
+    for a in maps:
+        inv = linalg.mat_inv(a.matrix)
+        assert a.inverse() == atlas.ChartMap(
+            inv, [-x for x in linalg.mat_vec(inv, a.shift)])
+        assert a.symplectic_residual(form) == linalg.congruence_residual(
+            linalg.transpose(a.matrix), form.matrix)
+        for b in maps:
+            assert a.compose(b) == atlas.ChartMap(
+                linalg.mat_mul(a.matrix, b.matrix),
+                [x + y for x, y in zip(linalg.mat_vec(a.matrix, b.shift),
+                                       a.shift)])
+
+
 def test_compose_order():
     a = atlas.ChartMap.translation(c2(1))
     b = atlas.ChartMap([[1, 0], [1, 1]], [0, 0])
@@ -292,6 +389,51 @@ def test_agreement_detects_linear_corruption(octagon_surface):
     rep = atlas.overlap_agreement_check(octagon_surface, ov, f, g, order=6,
                                         transition=bad)
     assert not rep.passed
+
+
+def test_identity_overlap_guard_refuses_a_moved_forward_map(square_surface):
+    # side0 is an identity overlap: the check reuses the direct product
+    # only when the forward map is the identity too
+    ov = square_surface.find_overlap("side0")
+    assert ov.transition.is_identity()
+    f = SparsePoly.variable(2, 1) ** 2 * SparsePoly.variable(2, 2)
+    g = SparsePoly.variable(2, 1) + SparsePoly.variable(2, 2) ** 2
+    assert atlas.overlap_agreement_check(square_surface, ov, f, g, 4).passed
+    for bad in (atlas.ChartMap.translation(1),
+                atlas.ChartMap([[1, 1], [0, 1]], [0, 0])):
+        rep = atlas.overlap_agreement_check(square_surface, ov, f, g, 4,
+                                            transition=bad)
+        assert not rep.passed
+
+
+def test_identity_forward_map_on_a_translated_overlap_fails(square_surface):
+    ov = next(o for o in square_surface.overlaps
+              if not o.transition.is_identity())
+    f = SparsePoly.variable(2, 1) ** 2 * SparsePoly.variable(2, 2)
+    g = SparsePoly.variable(2, 1) + SparsePoly.variable(2, 2) ** 2
+    rep = atlas.overlap_agreement_check(square_surface, ov, f, g, 4,
+                                        transition=atlas.ChartMap.translation(0))
+    assert not rep.passed
+
+
+def test_identity_overlap_stars_once(square_surface, monkeypatch):
+    calls = []
+    star = StarProduct.star
+
+    def spy(self, f, g, order=None):
+        calls.append((f, g))
+        return star(self, f, g, order)
+
+    monkeypatch.setattr(StarProduct, "star", spy)
+    pairs = random_poly_pairs(2, 3, 3, seed=4)
+    for component, stars in (("side0", 1), ("side2", 2)):
+        ov = square_surface.find_overlap(component)
+        assert ov.transition.is_identity() == (stars == 1)
+        for f, g in pairs:
+            calls.clear()
+            rep = atlas.overlap_agreement_check(square_surface, ov, f, g, 6)
+            assert rep.passed
+            assert len(calls) == stars
 
 
 def test_chart_star_runs_in_every_chart(square_surface):

@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 import starkit
 from starkit import cli
+from starkit.atlas import MAX_EDGES
 from starkit.cli import main
 from starkit.corpus import CORPUS_VERSION
 from starkit.parsing import (MAX_COEFF_BITS, MAX_DEGREE, MAX_LITERAL_DIGITS,
                              MAX_NESTING, MAX_TERMS)
 
-from conftest import fixture_path
+from conftest import fixture_path, symmetric_polygon
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -697,6 +698,68 @@ def test_symmetrize_text_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3dea6afb6bb786cfa0a84259470f1347a6d247e569d137abc625a7931369e80e")
+
+
+# SHA-256 of patch-check's text and --json report at --count 8 --order 8
+# --seed 1000, and of surface-ingest --json, on every fixture surface:
+# identity overlaps, translated ones, and a corner at each vertex class
+PINNED_SURFACES = {
+    "square": (
+        "f666b3cda997f17a33dc09f46676c78e3cdf62ca565906bb511ab2b4c3edcbe0",
+        "aeea756e3925b4eb9f4e5c8b79c105cbcf6ffad6793f0cbec5badaf375829a7c",
+        "180d9093202acf2536a827c7c01ec3c15f4fb6a4ed9bf88b78acb85d2c362c5a"),
+    "hexagon": (
+        "31abadf74eb0077b1b05c7d0092205d198e220c77fba241303767da7ae271c8d",
+        "e4a22b4bd98becce1a139ed3a6ca93a7ecfa462e4e54ca8daf0bfa0f0cf88fe2",
+        "3c50736ec847e09813471845140a4ccf3a1f0cefc19c66d1975f3185d4d910a7"),
+    "lshape": (
+        "3b923dabf8011f8eeb87811aaabaae1219214f20387b343c9c6334038ad69721",
+        "280a0ddcb9b0a9108c4f1acabaf1755683e59bed7a27c361a9444036185ed7bc",
+        "12b2c9b3c4611d3763ec4fb01e6b40143b8de1990526fb7462289b7ad7c4e97d"),
+    "octagon": (
+        "3e659fae326ffc98608e6fb96794d2ef4c948c5382477cb81341be933c565eeb",
+        "03997d97b1ac340225fce5e4f955d1d82de817fb534a1e2b512c6808a33e0dee",
+        "c2ea21f25c39425c76f579e36f7c30aa3c8d4908512096dfcb7b0c357e63b961"),
+    "decagon": (
+        "cbe17561b5d9ab43c31827f570712777ce3260e5fac38dd2f976cc3c384ed56f",
+        "322e4d92fe92ce16c98fe094fda2e5f72fcc7b58e27b7867a5b2adfc30501a1a",
+        "6893ae3f634a46bcfbebadddc4d125c491c053ecdfde0ad80cb76c6ae2c9f105"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SURFACES))
+def test_surface_runs_are_pinned(capsys, monkeypatch, name):
+    patch_text, patch_json, ingest_json = PINNED_SURFACES[name]
+    monkeypatch.chdir(REPO_ROOT)
+    path = f"tests/fixtures/{name}.json"
+    argv = ("patch-check", "--surface", path, "--count", "8", "--order",
+            "8", "--seed", "1000")
+    for extra, digest in (((), patch_text), (("--json",), patch_json)):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+    code, out, _ = run(capsys, "surface-ingest", path, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ingest_json
+
+
+@pytest.mark.parametrize("command", ["surface-ingest", "patch-check"])
+def test_oversized_polygon_is_exit_2(capsys, tmp_path, command):
+    # ingest is quadratic in the edges, so a surface past the limit is
+    # refused before any edge is read: here a closed convex polygon with
+    # its first edge split in two
+    data = symmetric_polygon(MAX_EDGES // 2)
+    x, y = (int(v) for v in data["edges"][0])
+    data["edges"][:1] = [[f"{x}/2", f"{y}/2"]] * 2
+    assert len(data["edges"]) == MAX_EDGES + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    argv = ([command, str(path)] if command == "surface-ingest"
+            else [command, "--surface", str(path)])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        2, "", f"error: surface has {MAX_EDGES + 1} edges, over "
+               f"the limit of {MAX_EDGES}\n")
 
 
 def test_parser_is_reused_across_calls(capsys, monkeypatch):

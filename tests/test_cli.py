@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -741,6 +742,135 @@ def test_surface_runs_are_pinned(capsys, monkeypatch, name):
     code, out, _ = run(capsys, "surface-ingest", path, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ingest_json
+
+
+# the fixture surfaces with rational edges: every x and y stretched by
+# (1/3, 5/2), or sheared by x += y/2
+TRANSFORMS = {
+    "stretch": lambda x, y: (x / 3, y * Fraction(5, 2)),
+    "shear": lambda x, y: (x + y / 2, y),
+}
+
+
+def _transformed(name, transform) -> str:
+    """Write the transformed fixture into the working directory, since
+    --json echoes the path, and return its file name."""
+    data = json.loads(pathlib.Path(fixture_path(f"{name}.json")).read_text())
+    edges = [TRANSFORMS[transform](Fraction(x), Fraction(y))
+             for x, y in data["edges"]]
+    data["edges"] = [[str(x), str(y)] for x, y in edges]
+    path = f"{name}-{transform}.json"
+    pathlib.Path(path).write_text(json.dumps(data))
+    return path
+
+
+# SHA-256 of surface-ingest --json and of patch-check --count 2 --order 4
+# --json on those surfaces
+PINNED_RATIONAL_SURFACES = {
+    ("square", "stretch"): (
+        "4277b2331005eddcf8cf61edb3b883e845f1b59fc851b239aae29204a9cc9e5b",
+        "cc08d804e1fc108ef0b3eb1d03c82a977a722a8e6208371d39bf689d96a9c1c2"),
+    ("hexagon", "stretch"): (
+        "38d9c6b50c080ce5525712a23c71e3af7e4598f8f81ece42a6498068b0fa5d6c",
+        "ee0ca547e8b9997d5cf4962bb529f6834472f6d49781ac79afecaeb8659a53ad"),
+    ("lshape", "stretch"): (
+        "af2df25fcf4f50f2879b44f7c9ab5839ab7ee8ef25ecc51d4778c45cdbb78ccf",
+        "3e77b582c30bba0fa4fb64d9d78d625acd0b5acefb13512c82a53ff0119af5ab"),
+    ("octagon", "stretch"): (
+        "694e7b032f399728b355c12bbcd576065e40568b4f274ac04b05af31542266d8",
+        "caca4e396bb195d75ff643b1e47f3bc5b4013eafa9f21e5e6bd3d2529b6e9e5c"),
+    ("decagon", "stretch"): (
+        "97f29a4fc18260528626841fd858acc28b068fe94a414d07fba555de929f5a8e",
+        "805481112146a8a872bbdac178ba47a1a024f459f0c839e20fb182757d3e93ca"),
+    ("square", "shear"): (
+        "e743a0a293845c8c0164e613c5056a0bea8c8f5e5760d657daef3e0712ae4f75",
+        "4a6f08cc253041369aee23af15e8a812bc628750f7157678c69569dce5c2a5f7"),
+    ("hexagon", "shear"): (
+        "0c6e336eedbecd46af7dfccc3e531011d1d24b32792199aea090f08d435ea3f6",
+        "812d458abe2ddd7d53f6baa1483c5b39e177d74ba34988d4e4b0ea114f57484d"),
+    ("lshape", "shear"): (
+        "dcb570dd7b253a202773743b8c3f26ab81010f579ba75f1e0c39d4352a1b2fc1",
+        "bd789ee6fd97844e8a323750ec7dabc2c9f6adb38c58b994df6184d8a006e7c4"),
+    ("octagon", "shear"): (
+        "d1755d379fc5a688a70fb0d60fd960d830b936d1ae9caf799299c435e5954fe0",
+        "87b1c35d93e9c3adcf10c7cec04788226b138f865a0f69eb62cda0b339a152d5"),
+    ("decagon", "shear"): (
+        "0e715457dbbd2b4b757d8bdb7454eaecac7a6ee32e60550e8b57dbc73731c0a4",
+        "ecf9ca5a8ece0f8045dcffc981f8fb32c4e42fbcd5d9cbbd6ef0bb5557f1f7a8"),
+}
+
+
+@pytest.mark.parametrize("name, transform", sorted(PINNED_RATIONAL_SURFACES))
+def test_rational_surface_runs_are_pinned(capsys, monkeypatch, tmp_path, name,
+                                          transform):
+    monkeypatch.chdir(tmp_path)
+    path = _transformed(name, transform)
+    runs = (("surface-ingest", path, "--json"),
+            ("patch-check", "--surface", path, "--count", "2", "--order",
+             "4", "--json"))
+    for argv, digest in zip(runs, PINNED_RATIONAL_SURFACES[name, transform]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# the error line of each kind of malformed polygon, from surface-ingest
+# and from patch-check
+MALFORMED_POLYGONS = {
+    "open": (
+        [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-2"]], [[0, 2], [1, 3]],
+        "polygon does not close (edge sum -i)"),
+    "rational-open": (
+        [["1/3", "0"], ["0", "5/2"], ["-1/3", "0"], ["0", "-5/3"]],
+        [[0, 2], [1, 3]],
+        "polygon does not close (edge sum 5/6*i)"),
+    "rational-unequal-pair": (
+        [["1/3", "0"], ["0", "5/2"], ["-1/3", "5/2"], ["0", "-5"]],
+        [[0, 2], [1, 3]],
+        "paired edges unequal: edge 2 must be the reverse of edge 0 "
+        "(expected -1/3, got -1/3+5/2*i)"),
+    "rational-clockwise": (
+        [["0", "5/2"], ["1/3", "0"], ["0", "-5/2"], ["-1/3", "0"]],
+        [[0, 2], [1, 3]],
+        "polygon must be simple and counterclockwise (signed area -5/3/2)"),
+    "zero-edge": (
+        [["1", "0"], ["0", "0"], ["-1", "0"], ["0", "1"]], [[0, 2], [1, 3]],
+        "edge 1 is the zero vector"),
+    "unequal-pair": (
+        [["1", "0"], ["0", "1"], ["-1", "1"], ["0", "-2"]], [[0, 2], [1, 3]],
+        "paired edges unequal: edge 2 must be the reverse of edge 0 "
+        "(expected -1, got -1+i)"),
+    "backtracking": (
+        [["1", "0"], ["-1", "0"], ["1", "0"], ["0", "1"], ["-1", "0"],
+         ["0", "-1"]],
+        [[0, 1], [2, 4], [3, 5]],
+        "degenerate corner at vertex 1: edge backtracks on its predecessor"),
+    "clockwise": (
+        [["0", "1"], ["1", "0"], ["0", "-1"], ["-1", "0"]], [[0, 2], [1, 3]],
+        "polygon must be simple and counterclockwise (signed area -2/2)"),
+    "crossing": (
+        [["3", "0"], ["1", "2"], ["-3", "0"], ["1", "-2"], ["-1", "-2"],
+         ["-1", "2"]],
+        [[0, 2], [1, 4], [3, 5]],
+        "polygon boundary crosses itself (edges 0 and 3)"),
+    "touching": (
+        [["2", "1"], ["2", "0"], ["-2", "-1"], ["0", "3"], ["-2", "0"],
+         ["0", "-3"]],
+        [[0, 2], [1, 4], [3, 5]],
+        "polygon boundary crosses itself (edges 0 and 3)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_POLYGONS))
+@pytest.mark.parametrize("command", ["surface-ingest", "patch-check"])
+def test_malformed_polygon_errors_are_pinned(capsys, tmp_path, command,
+                                             name):
+    edges, pairing, message = MALFORMED_POLYGONS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"edges": edges, "pairing": pairing}))
+    argv = ([command, str(path)] if command == "surface-ingest"
+            else [command, "--surface", str(path)])
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["surface-ingest", "patch-check"])

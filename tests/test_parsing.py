@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -232,3 +235,26 @@ def test_parser_agrees_with_sympy(text):
 def test_sympy_reads_the_printed_text(f, names):
     text = poly_to_str(f, names)
     assert sympy_reads(text) == poly_to_sympy(f, SYMS), text
+
+
+def _token_soup(count: int, seed: int) -> list:
+    """Seeded texts over the tokenizer's alphabet: digits, names, operators,
+    i and h, a float point, a stray letter and whitespace with newlines."""
+    rng = random.Random(seed)
+    alphabet = "z1 2q p3+-*/^()ih.x 09\n"
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 16)))
+            for _ in range(count)]
+
+
+def test_token_soup_results_are_pinned():
+    # SHA-256 of each text's parsed series, or its error message with the
+    # column, recorded before the tokenizer became one finditer pass
+    digest = hashlib.sha256()
+    for text in _token_soup(20_000, seed=24):
+        try:
+            out = series_to_str(parse_series(text, 3, 2))
+        except ParseError as exc:
+            out = f"ParseError: {exc}"
+        digest.update(out.encode() + b"\0")
+    assert digest.hexdigest() == (
+        "9502038071253b9288fbeb3cf58e8b9ce4163f5e17651dfb541c4e98991de4da")

@@ -27,10 +27,14 @@ shift, two translations compose by adding shifts, and a translation's
 symplectic residual is zero, so only a chart map that is not a
 translation multiplies matrices.  The agreement check stars once on an
 identity overlap, where the product in the destination chart would be
-the one in the source chart.  The simplicity test of the polygon scales the vertices to
-integers once and tests every pair of edges by integer cross and dot
-products; a surface of more than MAX_EDGES edges is refused before its
-edges are read, since that test is quadratic.
+the one in the source chart.
+
+Ingestion scales the edge vectors to integers once, by the lcm of their
+denominators, and tests the polygon in those integers alone; exact complex
+numbers are built only for overlap constants and error messages.  A
+surface of more than MAX_EDGES edges is refused before its edges are
+read, since the crossing test is quadratic.  A surface indexes its charts
+by name and its overlaps by component.
 """
 
 from __future__ import annotations
@@ -46,14 +50,6 @@ from .poly import SparsePoly
 from .reports import Report
 from .scalars import ExactComplex, parse_rational
 from .series import HbarSeries
-
-
-def _cross(a: ExactComplex, b: ExactComplex) -> Fraction:
-    return a.re * b.im - a.im * b.re
-
-
-def _dot(a: ExactComplex, b: ExactComplex) -> Fraction:
-    return a.re * b.re + a.im * b.im
 
 
 def _require_real_rational(value, what: str) -> Fraction:
@@ -254,28 +250,36 @@ class Overlap(Record):
 class TranslationSurface(Immutable):
     """Ingested surface: combinatorics, stratum data, charts, overlaps."""
 
-    __slots__ = ("edges", "pairing", "involution", "vertices", "translations",
-                 "vertex_classes", "windings", "zeros", "genus", "charts",
-                 "overlaps")
+    __slots__ = ("edges", "vertex_classes", "zeros", "genus", "charts",
+                 "overlaps", "_chart_index", "_overlap_index")
 
-    def __init__(self, **fields):
-        for name in TranslationSurface.__slots__:
-            object.__setattr__(self, name, fields[name])
+    def __init__(self, edges: tuple, vertex_classes: tuple, zeros: tuple,
+                 genus: int, charts: tuple, overlaps: tuple):
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "vertex_classes", vertex_classes)
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "charts", charts)
+        object.__setattr__(self, "overlaps", overlaps)
+        object.__setattr__(self, "_chart_index",
+                           {chart.name: chart for chart in charts})
+        object.__setattr__(self, "_overlap_index",
+                           {ov.component: ov for ov in overlaps})
 
     def chart(self, name: str) -> Chart:
-        for chart in self.charts:
-            if chart.name == name:
-                return chart
-        raise InputError(f"unknown chart {name!r}")
+        chart = self._chart_index.get(name)
+        if chart is None:
+            raise InputError(f"unknown chart {name!r}")
+        return chart
 
     def find_overlap(self, key) -> Overlap:
         if isinstance(key, Overlap):
             return key
         if isinstance(key, str):
-            for ov in self.overlaps:
-                if ov.component == key:
-                    return ov
-            raise InputError(f"no overlap component {key!r}")
+            ov = self._overlap_index.get(key)
+            if ov is None:
+                raise InputError(f"no overlap component {key!r}")
+            return ov
         src, dst = key
         for ov in self.overlaps:
             if (ov.src, ov.dst) == (src, dst):
@@ -292,28 +296,33 @@ class TranslationSurface(Immutable):
         return f"genus {self.genus}, zeros [{inner}], sum {total} = 2g-2"
 
 
-def _corner_steps(incoming: ExactComplex, outgoing: ExactComplex):
+def _backtracks(incoming, outgoing) -> bool:
+    """Whether two integer edge vectors are collinear and opposed."""
+    (a, b), (c, d) = incoming, outgoing
+    return a * d == b * c and a * c + b * d < 0
+
+
+def _corner_steps(incoming, outgoing):
     """The interior wedge at a corner, split into ccw steps of angle <= pi.
 
-    The wedge opens from the outgoing edge direction to the reversed
-    incoming direction; a negative cross product means it is reflex, and
-    a collinear pair here is a straight (angle pi) corner, since exact
-    backtracking was rejected during validation.
+    Edge vectors are integer pairs.  The wedge opens from the outgoing
+    edge direction to the reversed incoming direction; a negative cross
+    product means it is reflex, and a collinear pair here is a straight
+    (angle pi) corner, since exact backtracking was rejected during
+    validation.
     """
-    a, b = outgoing, -incoming
-    cr = _cross(a, b)
-    if cr > 0:
-        return [(a, b)]
-    if cr < 0:
-        return [(a, -a), (-a, b)]
+    a, b = outgoing, (-incoming[0], -incoming[1])
+    if a[0] * b[1] - a[1] * b[0] < 0:
+        back = (-a[0], -a[1])
+        return [(a, back), (back, b)]
     return [(a, b)]
 
 
-def _step_crossings(a: ExactComplex, b: ExactComplex) -> int:
+def _step_crossings(a, b) -> int:
     """Positive-x-axis crossings of one ccw step of angle in (0, pi]."""
-    if b.im == 0 and b.re > 0:
+    if b[1] == 0 and b[0] > 0:
         return 1
-    if a.im < 0 and b.im > 0:
+    if a[1] < 0 and b[1] > 0:
         return 1
     return 0
 
@@ -361,15 +370,24 @@ def ingest_polygon(pg: PolygonGluing) -> TranslationSurface:
     m = len(edges)
     if m < 3:
         raise InputError("polygon needs at least three edges")
-    for k, e in enumerate(edges):
-        if e.is_zero():
+
+    # every test runs on the edge vectors scaled to integers by the lcm of
+    # their denominators, which keeps every sign, equality and meeting
+    parts = [e.to_kernel() for e in edges]
+    scale = lcm(*(d for rn, rd, jn, jd in parts for d in (rd, jd)))
+    vectors = [(rn * (scale // rd), jn * (scale // jd))
+               for rn, rd, jn, jd in parts]
+
+    def exact(x: int, y: int) -> ExactComplex:
+        return ExactComplex(Fraction(x, scale), Fraction(y, scale))
+
+    for k, v in enumerate(vectors):
+        if v == (0, 0):
             raise InputError(f"edge {k} is the zero vector")
 
-    total = ExactComplex(0)
-    for e in edges:
-        total = total + e
-    if not total.is_zero():
-        raise InputError(f"polygon does not close (edge sum {total})")
+    total = (sum(x for x, _ in vectors), sum(y for _, y in vectors))
+    if total != (0, 0):
+        raise InputError(f"polygon does not close (edge sum {exact(*total)})")
 
     # pairing: fixed-point-free involution covering every edge once
     seen = [False] * m
@@ -391,29 +409,19 @@ def ingest_polygon(pg: PolygonGluing) -> TranslationSurface:
                          "unmatched")
 
     for i, j in pg.pairing:
-        if edges[j] != -edges[i]:
+        if vectors[j] != (-vectors[i][0], -vectors[i][1]):
             raise InputError(
                 f"paired edges unequal: edge {j} must be the reverse of "
                 f"edge {i} (expected {-edges[i]}, got {edges[j]})")
 
     for t in range(m):
-        prev = edges[(t - 1) % m]
-        cur = edges[t]
-        if _cross(prev, cur) == 0 and _dot(prev, cur) < 0:
+        if _backtracks(vectors[t - 1], vectors[t]):
             raise InputError(f"degenerate corner at vertex {t}: edge "
                              "backtracks on its predecessor")
 
-    vertices = [ExactComplex(0)]
-    for e in edges[:-1]:
-        vertices.append(vertices[-1] + e)
-    vertices = tuple(vertices)
-
-    # the simplicity tests run on the vertices scaled to integers by the
-    # lcm of their denominators, which keeps every sign and every meeting
-    parts = [v.to_kernel() for v in vertices]
-    scale = lcm(*(d for rn, rd, jn, jd in parts for d in (rd, jd)))
-    points = [(rn * (scale // rd), jn * (scale // jd))
-              for rn, rd, jn, jd in parts]
+    points = [(0, 0)]
+    for x, y in vectors[:-1]:
+        points.append((points[-1][0] + x, points[-1][1] + y))
 
     area2 = sum(p[0] * q[1] - p[1] * q[0]
                 for p, q in zip(points, points[1:] + points[:1]))
@@ -436,9 +444,6 @@ def ingest_polygon(pg: PolygonGluing) -> TranslationSurface:
                     f"polygon boundary crosses itself (edges {s} and {t})")
 
     # vertex classes: orbits of the corner walk around each glued vertex
-    def corner_next(t: int) -> int:
-        return involution[(t - 1) % m]
-
     unvisited = set(range(m))
     vertex_classes = []
     windings = []
@@ -449,14 +454,12 @@ def ingest_polygon(pg: PolygonGluing) -> TranslationSurface:
         while True:
             orbit.append(t)
             unvisited.discard(t)
-            t = corner_next(t)
+            t = involution[t - 1]
             if t == start:
                 break
         crossings = 0
         for c in orbit:
-            incoming = edges[(c - 1) % m]
-            outgoing = edges[c]
-            for a, b in _corner_steps(incoming, outgoing):
+            for a, b in _corner_steps(vectors[c - 1], vectors[c]):
                 crossings += _step_crossings(a, b)
         if crossings < 1:
             raise InputError(
@@ -477,56 +480,35 @@ def ingest_polygon(pg: PolygonGluing) -> TranslationSurface:
     zeros = tuple((idx, w - 1) for idx, w in enumerate(windings) if w > 1)
     assert sum(order for _, order in zeros) == 2 * genus - 2
 
-    pairs = tuple(pg.pairing)
-    translations = {}
-    for i, j in pairs:
-        translations[(i, j)] = vertices[(j + 1) % m] - vertices[i]
-
+    # per pair an edge chart and its base-to-edge overlaps: the anchor
+    # side i carries constant 0, the far side j is brought onto it by
+    # undoing the gluing translation, from the start of side i to the end
+    # of side j
     charts = [Chart("base", "base")]
-    chart_of_side = {}
-    for i, j in pairs:
+    overlaps = []
+    chart_of_side = [None] * m
+    side_constant = [None] * m
+    for i, j in pg.pairing:
         name = f"edge{i}:{j}"
         charts.append(Chart(name, "edge", (i, j)))
-        chart_of_side[i] = name
-        chart_of_side[j] = name
-
-    # base-to-edge overlaps: the anchor side i carries constant 0, the far
-    # side j is brought onto it by undoing the gluing translation
-    overlaps = []
-    side_constant = {}
-    for i, j in pairs:
-        name = chart_of_side[i]
-        t_ij = translations[(i, j)]
-        side_constant[i] = ExactComplex(0)
-        side_constant[j] = -t_ij
+        chart_of_side[i] = chart_of_side[j] = name
+        start, end = points[i], points[(j + 1) % m]
+        side_constant[i] = (0, 0)
+        side_constant[j] = far = (start[0] - end[0], start[1] - end[1])
         overlaps.append(Overlap("base", name, f"side{i}",
                                 ChartMap.translation(0)))
         overlaps.append(Overlap("base", name, f"side{j}",
-                                ChartMap.translation(-t_ij)))
+                                ChartMap.translation(exact(*far))))
 
     # corner overlaps between the edge charts of consecutive sides
     for t in range(m):
-        prev_side = (t - 1) % m
-        c1 = side_constant[prev_side]
-        c2 = side_constant[t]
-        src = chart_of_side[prev_side]
-        dst = chart_of_side[t]
-        overlaps.append(Overlap(src, dst, f"corner{t}",
-                                ChartMap.translation(c2 - c1)))
+        (x1, y1), (x2, y2) = side_constant[t - 1], side_constant[t]
+        overlaps.append(Overlap(chart_of_side[t - 1], chart_of_side[t],
+                                f"corner{t}",
+                                ChartMap.translation(exact(x2 - x1, y2 - y1))))
 
-    return TranslationSurface(
-        edges=edges,
-        pairing=pairs,
-        involution=tuple(involution),
-        vertices=vertices,
-        translations=translations,
-        vertex_classes=tuple(vertex_classes),
-        windings=tuple(windings),
-        zeros=zeros,
-        genus=genus,
-        charts=tuple(charts),
-        overlaps=tuple(overlaps),
-    )
+    return TranslationSurface(edges, tuple(vertex_classes), zeros, genus,
+                              tuple(charts), tuple(overlaps))
 
 
 def ingest_json(data) -> TranslationSurface:
@@ -551,13 +533,15 @@ def chart_star(surface: TranslationSurface, chart_name: str,
     return _CHART_STAR.star(f, g, order)
 
 
-def _overrides(surface: TranslationSurface, overrides: dict | None) -> dict:
-    """overrides, or {} for None, after refusing a label that names no
-    overlap component: it would replace nothing."""
+def _transitions(surface: TranslationSurface, overrides: dict | None) -> dict:
+    """The surface's transitions by component label, with overrides laid
+    over them, after refusing a label that names no overlap component:
+    it would replace nothing."""
     for label in overrides or {}:
         # as text, so that a (src, dst) pair is not taken for a label
         surface.find_overlap(str(label))
-    return overrides or {}
+    return {**{ov.component: ov.transition for ov in surface.overlaps},
+            **(overrides or {})}
 
 
 def liouville_pullback_check(surface: TranslationSurface,
@@ -568,10 +552,9 @@ def liouville_pullback_check(surface: TranslationSurface,
     caller probe how a corrupted transition is reported.
     """
     rep = Report("cotangent transitions preserve the form")
-    overrides = _overrides(surface, overrides)
+    transitions = _transitions(surface, overrides)
     for ov in surface.overlaps:
-        transition = overrides.get(ov.component, ov.transition)
-        residual = transition.symplectic_residual(_CHART_FORM)
+        residual = transitions[ov.component].symplectic_residual(_CHART_FORM)
         ok = linalg.is_zero_matrix(residual)
         rep.add(f"{ov.src}->{ov.dst} [{ov.component}]", ok,
                 "" if ok else "residual 2-form "
@@ -583,19 +566,12 @@ def cocycle_check(surface: TranslationSurface,
                   overrides: dict | None = None) -> Report:
     """Around every corner, base->edge1->edge2 must equal base->edge2."""
     rep = Report("overlap cocycle")
-    overrides = _overrides(surface, overrides)
-
-    def lookup(component: str) -> ChartMap:
-        if component in overrides:
-            return overrides[component]
-        return surface.find_overlap(component).transition
-
+    transitions = _transitions(surface, overrides)
     m = len(surface.edges)
     for t in range(m):
-        prev_side = (t - 1) % m
-        to_first = lookup(f"side{prev_side}")
-        across = lookup(f"corner{t}")
-        to_second = lookup(f"side{t}")
+        to_first = transitions[f"side{(t - 1) % m}"]
+        across = transitions[f"corner{t}"]
+        to_second = transitions[f"side{t}"]
         residual = to_second.inverse().compose(across.compose(to_first))
         ok = residual.is_identity()
         rep.add(f"corner{t}", ok,

@@ -56,7 +56,10 @@ MAX_COEFF_BITS = 10_000
 # bound on the result's term count passes this, before expanding
 MAX_TERMS = 20_000
 
-_TOKEN_RE = _re.compile(r"\s*(?:(\d+)|([zqp]\d+)|([ih])|([-+*/^()])|(.))")
+# the digits take a following "." so that a float is refused at its digits
+_TOKEN_RE = _re.compile(r"\s*(?:(?P<int>\d+\.?)|(?P<name>[zqp]\d+)|"
+                        r"(?P<sym>[ih])|(?P<op>[-+*/^()])|(?P<bad>.))")
+_NO_FLOATS = "float literals are not supported; use an exact rational like 1/2"
 
 
 def _check_literal(digits: str, col: int) -> None:
@@ -67,35 +70,24 @@ def _check_literal(digits: str, col: int) -> None:
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        col = m.start(m.lastindex) + 1
-        if m.group(1):
-            _check_literal(m.group(1), col)
-            end = m.end(1)
-            if end < len(text) and text[end] == ".":
-                raise ParseError(
-                    "float literals are not supported; use an exact rational "
-                    "like 1/2", col)
-            tokens.append(("int", m.group(1), col))
-        elif m.group(2):
-            _check_literal(m.group(2)[1:], col)
-            tokens.append(("name", m.group(2), col))
-        elif m.group(3):
-            tokens.append((m.group(3), m.group(3), col))
-        elif m.group(4):
-            tokens.append((m.group(4), m.group(4), col))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m.group(kind)
+        col = m.start(kind) + 1
+        if kind == "int":
+            _check_literal(value.rstrip("."), col)
+            if value[-1] == ".":
+                raise ParseError(_NO_FLOATS, col)
+            tokens.append(("int", value, col))
+        elif kind == "name":
+            _check_literal(value[1:], col)
+            tokens.append(("name", value, col))
+        elif kind != "bad":
+            tokens.append((value, value, col))
+        elif value == ".":
+            raise ParseError(_NO_FLOATS, col)
         else:
-            ch = m.group(5)
-            if ch == ".":
-                raise ParseError(
-                    "float literals are not supported; use an exact rational "
-                    "like 1/2", col)
-            raise ParseError(f"unexpected character {ch!r}", col)
-        pos = m.end()
+            raise ParseError(f"unexpected character {value!r}", col)
     tokens.append(("end", "", len(text) + 1))
     return tokens
 

@@ -57,6 +57,8 @@ class SymplectoMap(Immutable):
         inv = tuple(inverse)
         if not fwd or len(fwd) != len(inv):
             raise InputError("forward and inverse need equal, nonzero length")
+        if degree_bound < 1:
+            raise InputError("degree bound must be at least 1")
         dim = len(fwd)
         for name, comps in (("forward", fwd), ("inverse", inv)):
             for a, comp in enumerate(comps):
@@ -68,8 +70,6 @@ class SymplectoMap(Immutable):
                     raise InputError(
                         f"{name} component {a} exceeds the degree bound "
                         f"{degree_bound}")
-        if degree_bound < 1:
-            raise InputError("degree bound must be at least 1")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "inverse", inv)

@@ -134,3 +134,30 @@ def segments_conflict(a1, a2, b1, b2, shared) -> bool:
         return True
     point = a1 + d1 * lo
     return shared is None or point != shared
+
+
+def backtracks(incoming, outgoing) -> bool:
+    """Whether an ExactComplex edge exactly reverses its predecessor."""
+    return _cross(incoming, outgoing) == 0 and _dot(incoming, outgoing) < 0
+
+
+def corner_steps(incoming, outgoing):
+    """The interior wedge at a corner between ExactComplex edges, split
+    into ccw steps of angle <= pi; a negative cross product is a reflex
+    wedge, a collinear pair a straight corner."""
+    a, b = outgoing, -incoming
+    cr = _cross(a, b)
+    if cr > 0:
+        return [(a, b)]
+    if cr < 0:
+        return [(a, -a), (-a, b)]
+    return [(a, b)]
+
+
+def step_crossings(a, b) -> int:
+    """Positive-x-axis crossings of one ccw step of angle in (0, pi]."""
+    if b.im == 0 and b.re > 0:
+        return 1
+    if a.im < 0 and b.im > 0:
+        return 1
+    return 0

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from starkit.poly import SparsePoly
 from starkit.scalars import ExactComplex
 
 from conftest import fixture_path, symmetric_polygon
-from oracles import segments_conflict
+from oracles import (backtracks, corner_steps, segments_conflict,
+                     step_crossings)
 
 
 def ingest(edges, pairing):
@@ -178,12 +180,45 @@ def test_integer_segment_test_matches_the_fraction_oracle(a1, a2, b1, b2,
     assert got == want
 
 
+# edge vectors on a small grid of halves and thirds, so that collinear,
+# straight and reflex corners come up often
+VECTOR = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                   st.sampled_from([1, 2, 3])).map(
+    lambda v: ExactComplex(Fraction(v[0], v[2]), Fraction(v[1], v[2])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(VECTOR, VECTOR)
+def test_integer_winding_matches_the_exact_oracle(incoming, outgoing):
+    if incoming.is_zero() or outgoing.is_zero():
+        return
+    # scaled to integers by the lcm of the denominators, as ingest does
+    scale = lcm(*(c.denominator for v in (incoming, outgoing)
+                  for c in (v.re, v.im)))
+
+    def scaled(v):
+        return int(v.re * scale), int(v.im * scale)
+
+    u, v = scaled(incoming), scaled(outgoing)
+    assert atlas._backtracks(u, v) == backtracks(incoming, outgoing)
+    want = [step_crossings(a, b) for a, b in corner_steps(incoming, outgoing)]
+    got = [atlas._step_crossings(a, b) for a, b in atlas._corner_steps(u, v)]
+    assert got == want
+
+
 def test_ingest_at_the_edge_limit():
     surface = atlas.ingest_json(symmetric_polygon(atlas.MAX_EDGES // 2))
     # a 2n-gon with opposite sides glued, n even: one vertex, genus n / 2
     assert len(surface.edges) == atlas.MAX_EDGES
     assert surface.genus == atlas.MAX_EDGES // 4
     assert surface.zero_orders() == [2 * surface.genus - 2]
+    # every name resolves to the record a scan in order finds first
+    for chart in surface.charts:
+        assert surface.chart(chart.name) is next(
+            c for c in surface.charts if c.name == chart.name)
+    for ov in surface.overlaps:
+        assert surface.find_overlap(ov.component) is next(
+            o for o in surface.overlaps if o.component == ov.component)
 
 
 def test_rejects_floats_in_json():

@@ -340,6 +340,15 @@ def test_nesting_at_the_limit_parses(capsys):
      {"dim": True, "degree_bound": 1, "forward": ["z1"],
       "inverse": ["z1"]},
      "dim and degree_bound must be integers"),
+    # the bound is checked before the components that would exceed it
+    (["transport", "--map"],
+     {"dim": 2, "degree_bound": 0, "forward": ["z1", "z2"],
+      "inverse": ["z1", "z2"]},
+     "degree bound must be at least 1"),
+    (["verify-transport", "--map"],
+     {"dim": 2, "degree_bound": -1, "forward": ["z1", "z2"],
+      "inverse": ["z1", "z2"]},
+     "degree bound must be at least 1"),
     (["surface-ingest"],
      {"edges": [[True, "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
       "pairing": [[0, 2], [1, 3]]},

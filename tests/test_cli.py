@@ -340,6 +340,11 @@ def test_nesting_at_the_limit_parses(capsys):
      {"dim": True, "degree_bound": 1, "forward": ["z1"],
       "inverse": ["z1"]},
      "dim and degree_bound must be integers"),
+    (["surface-ingest"],
+     {"edges": [[True, "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
+      "pairing": [[0, 2], [1, 3]]},
+     "edge 0 real part must be an exact rational (\"p/q\" string), "
+     "not a boolean"),
     # the bound is checked before the components that would exceed it
     (["transport", "--map"],
      {"dim": 2, "degree_bound": 0, "forward": ["z1", "z2"],
@@ -349,11 +354,6 @@ def test_nesting_at_the_limit_parses(capsys):
      {"dim": 2, "degree_bound": -1, "forward": ["z1", "z2"],
       "inverse": ["z1", "z2"]},
      "degree bound must be at least 1"),
-    (["surface-ingest"],
-     {"edges": [[True, "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
-      "pairing": [[0, 2], [1, 3]]},
-     "edge 0 real part must be an exact rational (\"p/q\" string), "
-     "not a boolean"),
 ])
 def test_malformed_map_or_pairing_is_exit_2(capsys, tmp_path, argv, data,
                                             message):

@@ -657,6 +657,9 @@ def test_json_output_is_pinned(capsys, monkeypatch, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# z1^128, written as a product since "^" refuses degrees past 64
+Z1_128 = "z1^64*z1^64"
+
 # SHA-256 of the text and the --json report, with the exit code, of runs
 # whose report carries extra outputs or whose map gate fails
 PINNED_RUNS = {
@@ -690,6 +693,27 @@ PINNED_RUNS = {
         ("verify-transport", "--map", "tests/fixtures/broken_map.json"), 1,
         "0b6dc648bb9c8734d69a408e21a98a79cf6d23289e00f901cb963c814be1df3e",
         "4767e2fdeabf74d24786c7c0ee23d427d1a2bda21fe9350b0e72f0ca6254abda"),
+    # a product whose exponents pass 255, so the fields widen from 8 to
+    # 16 bits, with h-terms in one factor ("^" stops at degree 64)
+    "star-wide-fields": (
+        ("star", "--order", "4", f"h*{Z1_128}*z2 + {Z1_128}*z2^3 - 1/3*i*z1",
+         f"{Z1_128}*z1*z2^2 - 2/3*i*{Z1_128}*z2"), 0,
+        "3e90a1ebbf44acfa74ad9c76287978c6df5cb04af392e479927c00ef3d6f2cc9",
+        "8ebbe831487d42a5ceb5a48e07a9f151ba27ec8626a8d802058dfb61784273d4"),
+    # a non-block form with Gaussian rational entries: the bivector's own
+    # denominator and mixed coefficient denominators run through every
+    # walk and bracket
+    "star-gauss4": (
+        ("star", "--form", "tests/fixtures/form_gauss4.json", "--order", "5",
+         "z1^2*z3 - 1/2*i*z2*z4 + h*z1*z4^2",
+         "z2^2*z4 + 3/7*z1*z3 - i*z3^2"), 0,
+        "e8d16ab5112b3c0d53a3e95266ea3216f39445d3454f49ee2cc1c1fd83139462",
+        "3abc5d1b2b7c4d6588ed768b91f10904ef9f5d65e4b1ab2814fbfb2b901ebc9e"),
+    "verify-dq-gauss4": (
+        ("verify-dq", "--form", "tests/fixtures/form_gauss4.json",
+         "--count", "3"), 0,
+        "8f70f7cb91ecdca0f4f668e7e8538276c8e1bd9259957f2f5fa07dbde0da8a29",
+        "eb6a8c31f5a8afe934acba8bcea6e647f8743277ca7c52b5be5d3c56950d2452"),
 }
 
 
@@ -939,6 +963,25 @@ def test_json_identical_across_hash_seeds():
         outs.append(subprocess.run(cmd, capture_output=True, text=True,
                                    env=env, check=True).stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("star", "--order", "4", "z1^3*z2 - 2/3*i*z2^2 + h*z1", "z2^3*z1 + 1/5"),
+    ("product-star", "--n", "10", "q1^2*p1*q2 + 1/3*i*p10^2",
+     "q1*p1^2 + q10^2*p2"),
+    ("patch-check", "--surface", fixture_path("hexagon.json"), "--count", "2"),
+    ("symmetrize", "--n", "5", "3/2*q1^2*p2 - 1/3*i*q1*p1*q3 + p5^2"),
+])
+def test_text_and_json_identical_across_hash_seeds(argv):
+    # polynomials are keyed by integers and printed in sorted order, so
+    # neither the text nor the report may depend on string hashing
+    for extra in ((), ("--json",)):
+        cmd = [sys.executable, "-m", "starkit.cli", *argv, *extra]
+        outs = {subprocess.run(cmd, capture_output=True, text=True,
+                               env=_child_env(PYTHONHASHSEED=seed),
+                               check=True).stdout
+                for seed in ("0", "424242")}
+        assert len(outs) == 1, extra
 
 
 def _child_env(**extra):

@@ -20,7 +20,7 @@ from .series import HbarSeries
 
 __version__ = "0.1.0"
 
-# The term-map kernel is pure Python; kept as a name for run records.
+# The packed kernel is pure Python; kept as a name for run records.
 BACKEND = "python"
 
 __all__ = [

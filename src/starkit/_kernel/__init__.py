@@ -1,58 +1,47 @@
-"""Term-map kernels.
+"""Packed polynomial kernels.
 
 These pure-Python functions are the hot inner loops of the whole package.
-A term map is how a sparse multivariate polynomial is stored:
+A polynomial in n variables is held in one packed form, the integer form
+every computation keeps from start to end:
 
-    map  =  dict[exponents, coeff]
-    exponents = tuple[int, ...]            one entry per variable
-    coeff = (rn, rd, jn, jd)               exact Gaussian rational rn/rd + (jn/jd)*i
+    (width, den, p)    p = dict[key, (a, b)]     t[e] = (a + b*i) / den
+    key = sum of e[j] << (width * j)             one bit field per variable
 
-Coefficients are kept normalized at all times: denominators positive and
-coprime to their numerators, zero parts stored as (0, 1).  Zero coefficients
-are never stored in a map; the zero polynomial is the empty dict.
+The form is canonical: den > 0, the gcd of den and every a and b is 1,
+no term is zero, and a field is 8, 16, 32 or 64 bits wide, the narrowest
+that holds the largest exponent.  ``normal`` brings a result there once:
+it drops cancelled terms, divides by one running gcd that stops at 1,
+and repacks (``repack``) only when the fields narrow.
 
-Sums and scaling work on term maps.  Every product and derivative works
-on packed maps, the integer form a computation keeps from start to end:
+A product adds keys, so its operands are repacked to the fields that hold
+the sum of their largest exponents (``product_width``); fields past 64
+bits are an ``InputError``.  Every field is whole bytes, so a key is the
+little-endian bytes of its exponent tuple, and one ``struct.Struct`` per
+(arity, width), built once and kept, packs or unpacks a term in one C
+call.  ``fields`` gives the mask of each variable's field, so a caller
+learns which variables a map holds from the OR of its keys.
 
-    packed = dict[key, (a, b)]             t[e] = (a + b*i) / D
-    key    = sum of e[j] << (width * j)    one bit field per variable
-
-``lift`` puts each map's Gaussian-integer numerators over the lcm D of
-its denominators, and owns the width rule: a field is 8, 16, 32 or 64
-bits wide, the narrowest of these that holds the sum of the maps'
-largest exponents, so a product, which adds keys, never carries one
-field into the next.  A caller that forms longer products (powers, a
-substitution) passes the bit length its largest key needs, and lift
-rounds it up the same way; a key that would need fields wider than 64
-bits is an ``InputError``.  Since every field is whole bytes, a key is
-the little-endian bytes of its exponent tuple, so lift packs a term and
-``lower`` unpacks it in one C call each, whatever the number of
-variables, through one ``struct.Struct`` of the map's arity and field
-width, built once per (arity, width) and kept.  ``lower`` takes the
-width lift returned, and ``fields`` gives the mask of each variable's
-field, so a caller learns which variables a packed map holds from the
-OR of its keys without knowing the layout.
-``maddmul`` is the one loop over pairs of terms, ``mdiff`` multiplies
-numerators by the exponent and keeps D, and ``lower`` divides by the
-positive denominator the caller tracked, with one gcd per part,
-dropping cancelled terms.  ``mmul`` is the three, except that a factor
-of one term only shifts and scales the other, and ``mpow`` squares and
-multiplies through ``mmul``.
+``maddmul`` is the one loop over pairs of terms; ``mmul`` is a product,
+in which a factor of one term only shifts and scales the other; ``madd``
+adds two maps under integer scales; ``mdiff`` multiplies numerators by
+the exponent and keeps den.  The denominators are the caller's to track.
+``lift`` and ``lower`` convert between the packed form and a map from
+exponent tuples to normalized Gaussian rationals (rn, rd, jn, jd), at
+the edges only: the public constructor, ``terms()`` and the printer.
+``qnorm``, ``cadd``, ``csub`` and ``cmul`` are ``ExactComplex``'s
+arithmetic on those tuples.
 
 Callers reach these functions as attributes of this module (``K.mmul``),
 so a tracer that rebinds an attribute sees every call from outside.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import add
+from operator import or_
 from struct import Struct
+from types import SimpleNamespace
 
 from ..errors import InputError
-
-CZERO = (0, 1, 0, 1)
-CONE = (1, 1, 0, 1)
-
 
 def qnorm(n, d):
     """Normalize the rational n/d. d must be nonzero."""
@@ -87,93 +76,34 @@ def cmul(a, b):
     return rn, rd, jn, jd
 
 
-def madd(t1, t2):
-    if not t1:
-        return dict(t2)
-    if not t2:
-        return dict(t1)
-    out = dict(t1)
-    for e, c in t2.items():
-        old = out.get(e)
-        if old is None:
-            out[e] = c
-        else:
-            s = cadd(old, c)
-            if s[0] == 0 and s[2] == 0:
-                del out[e]
-            else:
-                out[e] = s
-    return out
-
-
-def msub(t1, t2):
-    out = dict(t1)
-    for e, c in t2.items():
-        old = out.get(e)
-        if old is None:
-            out[e] = (-c[0], c[1], -c[2], c[3])
-        else:
-            s = csub(old, c)
-            if s[0] == 0 and s[2] == 0:
-                del out[e]
-            else:
-                out[e] = s
-    return out
-
-
-def mneg(t):
-    return {e: (-c[0], c[1], -c[2], c[3]) for e, c in t.items()}
-
-
-def mscale(t, c):
-    if c[0] == 0 and c[2] == 0:
-        return {}
-    out = {}
-    for e, a in t.items():
-        p = cmul(a, c)
-        if p[0] != 0 or p[2] != 0:
-            out[e] = p
-    return out
-
-
 # each field width with its struct code (standard size, little-endian)
 _CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def _field_width(bits):
-    """The narrowest of 8, 16, 32 and 64 bits that holds bits."""
+def field_width(bits, stored=False):
+    """The narrowest of 8, 16, 32 and 64 bits that holds bits.  Past 64
+    bits the fields of a product are refused, and those a polynomial is
+    stored in (stored=True) are whole 64-bit words."""
     for width in _CODES:
         if bits <= width:
             return width
+    if stored:
+        return -(-bits // 64) * 64
     raise InputError(
         f"exponents need {bits}-bit fields; the kernel packs at most 64")
 
 
-def lift(*maps, width=None):
-    """(packed maps, product of their denominators, width), the width
-    being the field that holds the sum of each map's largest exponent,
-    or the bit length the caller gives for every key it will form,
-    rounded up to 8, 16, 32 or 64.  The keys of one map share a length."""
-    if width is None:
-        width = sum(max(map(max, t), default=0) for t in maps).bit_length()
-    width = _field_width(width)
-    from_bytes = int.from_bytes
-    packed = []
-    den = 1
-    for t in maps:
-        d = lcm(*{x for c in t.values() for x in (c[1], c[3])})
-        pack = _struct(len(next(iter(t), ())), width).pack
-        packed.append({from_bytes(pack(*e), "little"):
-                       (rn * (d // rd), jn * (d // jd))
-                       for e, (rn, rd, jn, jd) in t.items()})
-        den *= d
-    return packed, den, width
-
-
 @lru_cache(maxsize=64)
 def _struct(arity, width):
-    """The Struct that packs a key of arity fields of this width."""
-    return Struct(f"<{arity}{_CODES[width]}")
+    """The Struct that packs a key of arity fields of this width; past 64
+    bits, where no struct code reaches, the same bytes field by field."""
+    if width <= 64:
+        return Struct(f"<{arity}{_CODES[width]}")
+    n = width // 8
+    return SimpleNamespace(
+        pack=lambda *e: b"".join(x.to_bytes(n, "little") for x in e),
+        unpack=lambda data: tuple(int.from_bytes(data[k:k + n], "little")
+                                  for k in range(0, len(data), n)))
 
 
 @lru_cache(maxsize=64)
@@ -184,21 +114,101 @@ def fields(arity, width):
     return tuple(field << j * width for j in range(arity))
 
 
-def lower(p, den, arity, width):
-    """The normalized term map of p / den, den positive; zero terms are
-    dropped.  width is the one lift returned."""
-    if not p:
-        return {}
+def lift(t):
+    """The canonical (width, den, p) of a map from exponent tuples of one
+    length to normalized nonzero coefficients: den is the lcm of their
+    denominators, which leaves the numerators coprime to it."""
+    width = field_width(max(map(max, t), default=0).bit_length(), True)
+    den = lcm(*{x for c in t.values() for x in (c[1], c[3])})
+    pack = _struct(len(next(iter(t), ())), width).pack
+    return width, den, {int.from_bytes(pack(*e), "little"):
+                        (rn * (den // rd), jn * (den // jd))
+                        for e, (rn, rd, jn, jd) in t.items()}
+
+
+def exponents(p, arity, width):
+    """The exponent tuple of each key of p, in p's order."""
     size = arity * width // 8
     unpack = _struct(arity, width).unpack
+    return [unpack(key.to_bytes(size, "little")) for key in p]
+
+
+def lower(p, den, arity, width):
+    """The map from exponent tuples to the normalized coefficients of p /
+    den, den positive; zero terms are dropped."""
     out = {}
-    for key, (a, b) in p.items():
+    for e, (a, b) in zip(exponents(p, arity, width), p.values()):
         if a or b:
             # gcd(0, den) = den, so a zero part comes out as 0/1
             ga = gcd(a, den)
             gb = gcd(b, den)
-            out[unpack(key.to_bytes(size, "little"))] = (
-                a // ga, den // ga, b // gb, den // gb)
+            out[e] = (a // ga, den // ga, b // gb, den // gb)
+    return out
+
+
+def top(p, arity, width):
+    """The largest exponent in the keys of p, 0 for no keys."""
+    return max(map(max, exponents(p, arity, width)), default=0)
+
+
+def bits(p, arity, width):
+    """The bit length of the largest exponent in the keys of p: that of
+    the largest field of their OR."""
+    return max(exponents([reduce(or_, p, 0)], arity, width)[0]).bit_length()
+
+
+def product_width(p1, w1, p2, w2, arity):
+    """The fields of the product of p1 and p2, in fields of w1 and w2
+    bits: the narrowest that hold the sum of their largest exponents.
+    The sum has the bit length b of the larger or one more, so only when
+    one more would widen the fields are the exponents read term by term."""
+    b = max(bits(p1, arity, w1), bits(p2, arity, w2))
+    if b < 64 and field_width(b) == field_width(b + 1):
+        return field_width(b)
+    return field_width((top(p1, arity, w1) + top(p2, arity, w2)).bit_length())
+
+
+def repack(p, arity, width, new):
+    """p with every field of its keys moved from width to new bits."""
+    if new == width:
+        return p
+    size = arity * width // 8
+    unpack = _struct(arity, width).unpack
+    pack = _struct(arity, new).pack
+    return {int.from_bytes(pack(*unpack(key.to_bytes(size, "little"))),
+                           "little"): c for key, c in p.items()}
+
+
+def normal(p, den, arity, width):
+    """The canonical (width, den, p) of the packed map p over den > 0."""
+    if (0, 0) in p.values():
+        p = {key: c for key, c in p.items() if c != (0, 0)}
+    if not p:
+        return 8, 1, {}
+    g = den
+    for a, b in p.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            break
+    else:
+        den //= g
+        p = {key: (a // g, b // g) for key, (a, b) in p.items()}
+    if width > 8:
+        new = field_width(bits(p, arity, width), True)
+        p = repack(p, arity, width, new)
+        width = new
+    return width, den, p
+
+
+def madd(p1, p2, s1=1, s2=1):
+    """s1 * p1 + s2 * p2 for integers s1 and s2, cancelled terms kept."""
+    out = ({key: (a * s1, b * s1) for key, (a, b) in p1.items()}
+           if s1 != 1 else dict(p1))
+    get = out.get
+    for key, (a, b) in p2.items():
+        old = get(key)
+        out[key] = ((a * s2, b * s2) if old is None
+                    else (old[0] + a * s2, old[1] + b * s2))
     return out
 
 
@@ -237,34 +247,16 @@ def maddmul(acc, p1, p2, wr, wi):
     return acc
 
 
-def mmul(t1, t2):
-    """The normalized term map of t1 * t2.
-
-    When either map has a single term c z^e, the product is the other
-    map shifted by e with each coefficient times c: no lift, no lower.
-    The keys stay distinct and, the Gaussian rationals having no zero
-    divisors, the coefficients nonzero.  Lift's width rule still
-    applies, so a product past 64-bit fields is refused either way.
-    """
-    if not t1 or not t2:
-        return {}
-    if len(t1) == 1 or len(t2) == 1:
-        if len(t1) > 1:
-            t1, t2 = t2, t1
-        _field_width(sum(max(map(max, t)) for t in (t1, t2)).bit_length())
-        ((e1, c1),) = t1.items()
-        return {tuple(map(add, e1, e)): cmul(c1, c) for e, c in t2.items()}
-    (p1, p2), den, width = lift(t1, t2)
-    return lower(maddmul({}, p1, p2, 1, 0), den, len(next(iter(t1))), width)
-
-
-def mpow(t, k, arity):
-    """The normalized term map of t^k, k >= 0, on arity variables, by
-    repeated squaring through mmul."""
-    out = {(0,) * arity: CONE}
-    while k:
-        if k & 1:
-            out = mmul(out, t)
-        t = mmul(t, t) if k > 1 else t
-        k >>= 1
-    return out
+def mmul(p1, p2):
+    """p1 * p2 on packed maps whose fields hold the sum of their largest
+    exponents.  When either map has a single term c z^e, the product is
+    the other map shifted by e with each numerator times c; the keys stay
+    distinct and, the Gaussian integers having no zero divisors, the
+    numerators nonzero."""
+    if len(p1) > len(p2):
+        p1, p2 = p2, p1
+    if len(p1) != 1:
+        return maddmul({}, p1, p2, 1, 0)
+    ((k1, (x, y)),) = p1.items()
+    return {k1 + key: (x * u - y * v, x * v + y * u)
+            for key, (u, v) in p2.items()}

@@ -72,7 +72,7 @@ def _poly(rng: random.Random, arity: int, max_degree: int) -> SparsePoly:
         for _ in range(degree):
             exps[_below(rng, arity)] += 1
         terms[tuple(exps)] = _coeff(rng)
-    return SparsePoly._from_raw(arity, terms)
+    return SparsePoly._make(arity, *K.lift(terms), False)
 
 
 def random_poly(arity: int, max_degree: int, seed: int) -> SparsePoly:

@@ -31,15 +31,14 @@ derivative holds a subset of its parent's variables, so only the root
 tests every entry; a child tests only the entries its parent found
 useful, from the one it picked onward.
 
-The walk runs on integers (see ``starkit._kernel`` for packed maps),
+The walk runs on the polynomials' packed numerators (``starkit._kernel``),
 and one walk serves a whole series product, sum_j h^j f_j times
-sum_k h^k g_k.  The coefficients f_j are lifted once, to Gaussian-integer
-numerators over one denominator Df, and the g_k over Dg.  A term of h^j
-is packed with j in an extra bit field above the variables' fields, so a
-product adds h-degrees the way it adds exponents; an h^0 term has an
-empty field, and a plain product f * g is the series case with one
-coefficient each.  The variables' fields are wide enough for the max
-exponent of f plus that of g.  The steps share one denominator Ds, twice
+sum_k h^k g_k.  One scaling pass puts the f_j over one denominator Df,
+and the g_k over Dg, in fields wide enough for the largest exponent of f
+plus that of g.  A term of h^j has j in an extra bit field above the
+variables' fields, so a product adds h-degrees the way it adds
+exponents; an h^0 term has an empty field, and a plain product f * g is
+the series case with one coefficient each.  The steps share one denominator Ds, twice
 the bivector's own.  A branch carries the product of its steps'
 numerators and the multinomial count k! / prod(m_p!), which picking
 entry p for the m-th time at depth k turns into count * (k + 1) // m,
@@ -56,7 +55,7 @@ coefficient is normalized once.
 from __future__ import annotations
 
 from functools import reduce
-from math import factorial
+from math import factorial, lcm
 from operator import or_
 
 from . import _kernel as K
@@ -70,20 +69,17 @@ from .series import HbarSeries
 
 
 def _support(coeffs, order: int) -> tuple:
-    """The h-degrees j <= order of the nonzero coeffs[j], and the largest
-    total degree among those coefficients."""
-    if len(coeffs) == 1:  # a polynomial, as star() passes it
-        terms = coeffs[0]._terms
-        if not terms:
-            return [], -1
-        return [0], max(map(sum, terms))
-    js = []
-    deg = -1
+    """The h-degrees j <= order of the nonzero coeffs[j], the largest total
+    degree among those coefficients, and the largest of their exponents
+    and of those j."""
+    js, deg, top = [], -1, 0
     for j, p in enumerate(coeffs[:order + 1]):
-        if p._terms:
+        if p:
             js.append(j)
-            deg = max(deg, p.degree())
-    return js, deg
+            exps = K.exponents(p._form[2], p.arity, p._form[0])
+            deg = max(deg, *map(sum, exps))
+            top = max(top, j, *map(max, exps))
+    return js, deg, top
 
 
 def _by_h_power(accs, order: int, top: int, ds: int, hshift: int) -> list:
@@ -112,13 +108,19 @@ def _by_h_power(accs, order: int, top: int, ds: int, hshift: int) -> list:
     return groups
 
 
-def _with_h(coeffs, js) -> dict:
-    """One term map for sum over j in js of h^j coeffs[j]: a term of h^j
-    keys on its exponents followed by j, so every key of the map has the
-    same length."""
+def _with_h(coeffs, js, width: int, hshift: int) -> tuple:
+    """(p, D): sum over j in js of h^j coeffs[j] packed in fields of this
+    width over the lcm D of their denominators; h^j adds j << hshift."""
     if js == [0]:
-        return coeffs[0]._terms
-    return {e + (j,): c for j in js for e, c in coeffs[j]._terms.items()}
+        return coeffs[0]._at(width), coeffs[0]._form[1]
+    den = lcm(*(coeffs[j]._form[1] for j in js))
+    out = {}
+    for j in js:
+        s = den // coeffs[j]._form[1]
+        h = j << hshift
+        out.update({key + h: (a * s, b * s)
+                    for key, (a, b) in coeffs[j]._at(width).items()})
+    return out, den
 
 
 class StarProduct(Immutable):
@@ -170,26 +172,28 @@ class StarProduct(Immutable):
         self._check_arity(f, g)
         if k < 0:
             raise InputError("bidifferential order must be nonnegative")
-        bk = self._bidiff(k, (f,), (g,))[k]
-        return SparsePoly._from_raw(self.dim, bk).scale(
+        return self._bidiff(k, (f,), (g,))[k].scale(
             factorial(k) * ExactComplex(0, -2) ** k)
 
     def _bidiff(self, order: int, fs, gs) -> list:
         """The h^n coefficients, n = 0..order, of the product of the series
-        sum_j h^j fs[j] and sum_k h^k gs[k], as term maps indexed by n;
+        sum_j h^j fs[j] and sum_k h^k gs[k], as polynomials indexed by n;
         the walk described in the module docstring."""
         dim = self.dim
-        jf, degf = _support(fs, order)
-        jg, degg = _support(gs, order)
+        jf, degf, topf = _support(fs, order)
+        jg, degg, topg = _support(gs, order)
         if not jf or not jg or jf[0] + jg[0] > order:
-            return [{} for _ in range(order + 1)]
+            return [SparsePoly.zero(dim)] * (order + 1)
         fmin, gmin = jf[0], jg[0]
         fmax, gmax = jf[-1], jg[-1]
         top = min(order - fmin - gmin, degf, degg)
         # with no h-terms in either factor no term is ever past a cap
         hcaps = fmax or gmax
-        (lf, lg), den, width = K.lift(_with_h(fs, jf), _with_h(gs, jg))
+        width = K.field_width((topf + topg).bit_length())
         hshift = dim * width
+        (lf, df), (lg, dg) = (_with_h(fs, jf, width, hshift),
+                              _with_h(gs, jg, width, hshift))
+        den = df * dg
         accs = [K.maddmul({}, lf, lg, 1, 0)] + [{} for _ in range(top)]
         # (depth, the parent's useful entries, the index there of the last
         #  entry picked, its multiplicity, weight numerator, multinomial
@@ -242,10 +246,10 @@ class StarProduct(Immutable):
         # h^n is over Df Dg Ds^m m!, m the largest depth that reaches it
         out = []
         for n, acc in enumerate(accs):
-            out.append(K.lower(acc, den, dim, width))
+            out.append(SparsePoly._make(dim, width, den, acc))
             if n < top:
                 den *= self._ds * (n + 1)
-        return out + [{} for _ in range(order + 1 - len(out))]
+        return out + [SparsePoly.zero(dim)] * (order + 1 - len(out))
 
     def _entries(self, width: int) -> tuple:
         """Each entry (a, b, step re, step im) with the masks of its two
@@ -272,15 +276,14 @@ class StarProduct(Immutable):
             order = self.order
         if order < 0:
             raise InputError("order must be nonnegative")
-        return HbarSeries._from_raw(self.dim,
-                                    self._bidiff(order, (f,), (g,)))
+        return HbarSeries(self._bidiff(order, (f,), (g,)))
 
     def star_series(self, F: HbarSeries, G: HbarSeries) -> HbarSeries:
         """Star product of two series, truncated at the smaller order."""
         if F.arity != self.dim or G.arity != self.dim:
             raise ArityError(f"expected arity {self.dim}")
-        return HbarSeries._from_raw(self.dim, self._bidiff(
-            min(F.order, G.order), F.coeffs, G.coeffs))
+        return HbarSeries(self._bidiff(min(F.order, G.order), F.coeffs,
+                                       G.coeffs))
 
     def commutator(self, f: SparsePoly, g: SparsePoly,
                    order: int | None = None) -> HbarSeries:

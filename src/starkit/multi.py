@@ -11,10 +11,9 @@ matches composing permutations.
 
 from __future__ import annotations
 
-from itertools import chain, permutations as _all_images
-from math import comb
+from itertools import permutations as _all_images
+from math import comb, lcm
 
-from . import _kernel as K
 from .errors import ArityError, Immutable, InputError
 from .moyal import StarProduct
 from .poisson import SymplecticForm
@@ -113,15 +112,13 @@ def permute_poly(sigma: Permutation, f: SparsePoly) -> SparsePoly:
         raise ArityError(
             f"permutation of {sigma.n} copies needs arity {2 * sigma.n}, "
             f"got {f.arity}")
-    n = sigma.n
-    raw = {}
-    for exps, coeff in f._terms.items():
-        new = [0] * (2 * n)
-        for i in range(n):
-            new[2 * sigma.images[i]] = exps[2 * i]
-            new[2 * sigma.images[i] + 1] = exps[2 * i + 1]
-        raw[tuple(new)] = coeff
-    return SparsePoly._from_raw(f.arity, raw)
+    width, den, p = f._form
+    step = 2 * width  # copy i is the block of two fields from bit step * i
+    block = (1 << step) - 1
+    moves = [(step * i, step * t) for i, t in enumerate(sigma.images)]
+    out = {sum((key >> src & block) << dst for src, dst in moves): c
+           for key, c in p.items()}
+    return SparsePoly._make(f.arity, width, den, out, False)
 
 
 def equivariance_check(ps: ProductSpace, sigma: Permutation,
@@ -168,14 +165,19 @@ def _orbit_size(blocks) -> int:
     return size
 
 
-def _blocks(exps) -> list:
-    """The (zeta_i, lambda_i) exponent pairs of a term, by copy."""
-    return [exps[k:k + 2] for k in range(0, len(exps), 2)]
+def _blocks(f: SparsePoly):
+    """Each term's (zeta_i, lambda_i) blocks, by copy, as the bytes of its
+    packed key, with the term's numerators."""
+    width, _, p = f._form
+    size, step = f.arity * width // 8, width // 4
+    for key, c in p.items():
+        data = key.to_bytes(size, "little")
+        yield [data[k:k + step] for k in range(0, size, step)], c
 
 
 def orbit_images(f: SparsePoly) -> int:
     """The images symmetrize(f) writes: its terms' orbit sizes, summed."""
-    return sum(_orbit_size(_blocks(exps)) for exps in f._terms)
+    return sum(_orbit_size(blocks) for blocks, _ in _blocks(f))
 
 
 def symmetrize(f: SparsePoly) -> SparsePoly:
@@ -185,20 +187,23 @@ def symmetrize(f: SparsePoly) -> SparsePoly:
     arrangements of its (zeta_i, lambda_i) blocks, with weight 1/|orbit|.
     A monomial fixed by a stabilizer of m_1! m_2! ... relabellings has
     n!/(m_1! m_2! ...) images, so this equals (1/n!) sum over sigma of
-    sigma(f) without walking the n! relabellings.
+    sigma(f) without walking the n! relabellings.  Every share sits over
+    den times the lcm of the orbit sizes.
     """
     if f.arity % 2 != 0:
         raise ArityError("symmetrize needs an even arity (pairs of variables)")
+    orbits = [(blocks, _orbit_size(blocks), c) for blocks, c in _blocks(f)]
+    scale = lcm(*(size for _, size, _ in orbits))
     acc: dict = {}
-    for exps, c in f._terms.items():
-        blocks = _blocks(exps)
-        share = K.cmul(c, (1, _orbit_size(blocks), 0, 1))
+    get = acc.get
+    for blocks, size, (a, b) in orbits:
+        a, b = a * (scale // size), b * (scale // size)
         for image in _arrangements(blocks):
-            e = tuple(chain.from_iterable(image))
-            old = acc.get(e)
-            acc[e] = share if old is None else K.cadd(old, share)
-    return SparsePoly._from_raw(
-        f.arity, {e: c for e, c in acc.items() if c[0] != 0 or c[2] != 0})
+            e = int.from_bytes(b"".join(image), "little")
+            old = get(e)
+            acc[e] = (a, b) if old is None else (old[0] + a, old[1] + b)
+    width, den, _ = f._form
+    return SparsePoly._make(f.arity, width, den * scale, acc)
 
 
 def is_symmetric(f: SparsePoly) -> bool:
@@ -214,16 +219,20 @@ def is_symmetric(f: SparsePoly) -> bool:
         raise ArityError("symmetry is defined for even arity")
     if f.arity < 4:
         return True
-    terms = f._terms
+    width, _, terms = f._form
+    step = 2 * width
+    block = (1 << step) - 1
     get = terms.get
-    for exps, c in terms.items():
-        if exps[:2] != exps[2:4] and get(
-                exps[2:4] + exps[:2] + exps[4:]) != c:
+    for key, c in terms.items():  # the swap exchanges the lowest two blocks
+        x = (key ^ key >> step) & block
+        if x and get(key ^ x ^ x << step) != c:
             return False
     if f.arity > 4:
-        # for n = 2 the shift is the swap
-        for exps, c in terms.items():
-            if get(exps[-2:] + exps[:-2]) != c:
+        # for n = 2 the shift is the swap; the last block comes first
+        last = step * (f.arity // 2 - 1)
+        full = (1 << last) - 1
+        for key, c in terms.items():
+            if get((key & full) << step | key >> last) != c:
                 return False
     return True
 
@@ -232,12 +241,9 @@ def power_sum(ps: ProductSpace, k: int) -> SparsePoly:
     """p_k = sum over copies of lambda_i^k."""
     if k < 1:
         raise InputError("power sums start at k = 1")
-    raw = {}
-    for i in range(ps.copies):
-        exps = [0] * ps.dim
-        exps[2 * i + 1] = k
-        raw[tuple(exps)] = (1, 1, 0, 1)
-    return SparsePoly._from_raw(ps.dim, raw)
+    return SparsePoly(ps.dim, {
+        tuple(k * (j == 2 * i + 1) for j in range(ps.dim)): 1
+        for i in range(ps.copies)})
 
 
 def hitchin_commutation_check(ps: ProductSpace, j: int, k: int,

@@ -17,10 +17,9 @@ base/fiber pair "z<2k-1>"/"z<2k>".  The symbol "h" is the deformation
 parameter and is only accepted where a series is expected.  Exponents are
 nonnegative integer literals.
 
-The parser's values are kernel term maps (``starkit._kernel``) on
-arity + 1 variables, the last standing for h, combined by the kernel's
-sums, products and powers; ``parse_poly`` and ``parse_series`` wrap the
-result once.
+The parser's values are packed polynomials (``SparsePoly``) in arity + 1
+variables, the last standing for h, combined by their own sums, products
+and powers; ``parse_poly`` and ``parse_series`` split off h's field.
 
 The printer emits one canonical form: terms in descending graded
 lexicographic order, series coefficients in ascending powers of h, and
@@ -31,7 +30,9 @@ variable power and each coefficient once.
 from __future__ import annotations
 
 import re as _re
+from functools import reduce
 from math import comb
+from operator import or_
 
 from . import _kernel as K
 from .errors import ParseError
@@ -92,13 +93,8 @@ def _tokenize(text: str):
     return tokens
 
 
-def _degree(t) -> int:
-    """Total degree of a term map; the zero map reports -1."""
-    return max(map(sum, t), default=-1)
-
-
 def _check_terms(bound: int, factors, power: int, col: int) -> None:
-    """Refuse the product of the factors (term maps), raised to power,
+    """Refuse the product of the factors (polynomials), raised to power,
     when it could have over MAX_TERMS terms.
 
     bound counts the products of terms.  The result, of degree d at most
@@ -108,16 +104,18 @@ def _check_terms(bound: int, factors, power: int, col: int) -> None:
     """
     if bound <= MAX_TERMS:
         return
-    used = len({i for t in factors for e in t for i, x in enumerate(e) if x})
-    degree = power * sum(map(_degree, factors))
-    bound = min(bound, comb(used + degree, used))
+    used = {j for t in factors
+            for j, mask in enumerate(K.fields(t.arity, t._form[0]))
+            if reduce(or_, t._form[2], 0) & mask}
+    degree = power * sum(t.degree() for t in factors)
+    bound = min(bound, comb(len(used) + degree, len(used)))
     if bound > MAX_TERMS:
         raise ParseError(f"up to {bound} terms is over the limit of "
                          f"{MAX_TERMS}", col)
 
 
 class _Parser:
-    """Recursive-descent parser producing a kernel term map in arity+1
+    """Recursive-descent parser producing a polynomial in arity+1
     variables, the last variable standing for h."""
 
     def __init__(self, text: str, arity: int, allow_h: bool):
@@ -125,8 +123,7 @@ class _Parser:
         self.idx = 0
         self.arity = arity
         self.allow_h = allow_h
-        self.width = arity + 1
-        self.one = (0,) * self.width
+        self.vars = arity + 1
         self.depth = 0
 
     def peek(self):
@@ -137,49 +134,48 @@ class _Parser:
         self.idx += 1
         return tok
 
-    def parse(self) -> dict:
+    def parse(self) -> SparsePoly:
         value = self.expr()
         kind, text, col = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", col)
         return value
 
-    def expr(self) -> dict:
+    def expr(self) -> SparsePoly:
         value = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, _ = self.take()
             rhs = self.term()
-            value = K.madd(value, rhs) if op == "+" else K.msub(value, rhs)
+            value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self) -> dict:
+    def term(self) -> SparsePoly:
         value = self.unary()
         while self.peek()[0] in ("*", "/"):
             op, _, col = self.take()
             rhs = self.unary()
             if op == "*":
                 _check_terms(len(value) * len(rhs), (value, rhs), 1, col)
-                value = K.mmul(value, rhs)
+                value = value * rhs
             else:
-                if rhs and (len(rhs) > 1 or self.one not in rhs):
+                if not rhs.is_constant():
                     raise ParseError(
                         "division is only defined by nonzero constants", col)
-                if not rhs:
+                if rhs.is_zero():
                     raise ParseError("division by zero", col)
-                c = ExactComplex(1) / ExactComplex.from_kernel(rhs[self.one])
-                value = K.mscale(value, c.to_kernel())
+                value = value.scale(1 / rhs.constant_value())
         return value
 
-    def unary(self) -> dict:
+    def unary(self) -> SparsePoly:
         sign = 1
         while self.peek()[0] in ("-", "+"):
             op, _, _ = self.take()
             if op == "-":
                 sign = -sign
         value = self.power()
-        return K.mneg(value) if sign < 0 else value
+        return -value if sign < 0 else value
 
-    def power(self) -> dict:
+    def power(self) -> SparsePoly:
         value = self.atom()
         if self.peek()[0] == "^":
             self.take()
@@ -190,11 +186,12 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal", col)
             self.take()
             k = int(text)
-            degree = _degree(value) * k
+            degree = value.degree() * k
             if degree > MAX_DEGREE:
                 raise ParseError(f"degree {degree} is over the limit of "
                                  f"{MAX_DEGREE}", col)
-            bits = k * max((x.bit_length() for c in value.values()
+            # the bits of the coefficients' reduced parts
+            bits = k * max((x.bit_length() for c in value._items().values()
                             for x in c), default=0)
             if bits > MAX_COEFF_BITS:
                 raise ParseError(f"coefficients of about {bits} bits are "
@@ -203,23 +200,22 @@ class _Parser:
             # a multiset: at most C(t + k - 1, k) of them
             _check_terms(comb(max(len(value) + k - 1, 0), k), (value,), k,
                          col)
-            value = K.mpow(value, k, self.width)
+            value = value ** k
         return value
 
-    def atom(self) -> dict:
+    def atom(self) -> SparsePoly:
         kind, text, col = self.take()
         if kind == "int":
-            n = int(text)
-            return {self.one: (n, 1, 0, 1)} if n else {}
+            return SparsePoly.const(self.vars, int(text))
         if kind == "i":
-            return {self.one: (0, 1, 1, 1)}
+            return SparsePoly.const(self.vars, ExactComplex(0, 1))
         if kind == "h":
             if not self.allow_h:
                 raise ParseError(
                     "'h' is only allowed where a series is expected", col)
-            return self._variable(self.width)
+            return SparsePoly.variable(self.vars, self.vars)
         if kind == "name":
-            return self._variable(self._var_index(text, col))
+            return SparsePoly.variable(self.vars, self._var_index(text, col))
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -234,12 +230,6 @@ class _Parser:
         if kind == "end":
             raise ParseError("expected an operand", col)
         raise ParseError(f"unexpected {text!r}", col)
-
-    def _variable(self, index: int) -> dict:
-        """The term map of z_index (1-based)."""
-        exps = [0] * self.width
-        exps[index - 1] = 1
-        return {tuple(exps): K.CONE}
 
     def _var_index(self, name: str, col: int) -> int:
         letter, k = name[0], int(name[1:])
@@ -259,20 +249,24 @@ class _Parser:
 
 def parse_poly(text: str, arity: int) -> SparsePoly:
     """Parse a polynomial in z1..z<arity>; 'h' is rejected."""
-    wide = _Parser(text, arity, allow_h=False).parse()
-    return SparsePoly._from_raw(arity, {exps[:-1]: coeff
-                                        for exps, coeff in wide.items()})
+    # h's field is empty, so the packed form is the same in arity variables
+    width, den, p = _Parser(text, arity, allow_h=False).parse()._form
+    return SparsePoly._make(arity, width, den, p, False)
 
 
 def parse_series(text: str, arity: int, order: int) -> HbarSeries:
     """Parse a series in z1..z<arity> and h, truncated at the given order."""
-    wide = _Parser(text, arity, allow_h=True).parse()
-    coeffs = [dict() for _ in range(order + 1)]
-    for exps, coeff in wide.items():
-        k = exps[-1]
+    width, den, p = _Parser(text, arity, allow_h=True).parse()._form
+    # a term of h^k keys on its exponents plus k in the field above them
+    shift = arity * width
+    low = (1 << shift) - 1
+    coeffs = [{} for _ in range(order + 1)]
+    for key, c in p.items():
+        k = key >> shift
         if k <= order:
-            coeffs[k][exps[:-1]] = coeff
-    return HbarSeries([SparsePoly._from_raw(arity, raw) for raw in coeffs])
+            coeffs[k][key & low] = c
+    return HbarSeries([SparsePoly._make(arity, width, den, t)
+                       for t in coeffs])
 
 
 def parse_expr(text: str, arity: int, order: int | None = None):
@@ -334,7 +328,7 @@ def _pieces(p: SparsePoly, names, powers: dict, prefixes: dict) -> list:
     (coefficient, has monomial) to _coefficient's result; both are
     filled as pieces are first met, so a caller formats each once.
     """
-    terms = p._terms
+    terms = p._items()
     out = []
     for _, exps in sorted([(sum(e), e) for e in terms], reverse=True):
         parts = []

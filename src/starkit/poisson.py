@@ -115,14 +115,15 @@ class PoissonBivector(Immutable):
                            tuple(sorted({b for _, b, _ in entries})))
 
     def bracket(self, f: SparsePoly, g: SparsePoly) -> SparsePoly:
-        """{f, g} = sum pi_ab (df/dz_a)(dg/dz_b), over packed maps: f and g
-        are lifted once, differentiated only in the variables they hold
-        that some entry needs, summed in integers over Df Dg D_pi and
-        normalized once."""
+        """{f, g} = sum pi_ab (df/dz_a)(dg/dz_b) on the packed forms, in the
+        fields of f g: differentiated only in the variables they hold that
+        some entry needs, summed over Df Dg D_pi, normalized once."""
         if f.arity != self.dim or g.arity != self.dim:
             raise ArityError(
                 f"bracket needs arity {self.dim}, got {f.arity} and {g.arity}")
-        (lf, lg), den, width = K.lift(f._terms, g._terms)
+        (wf, _, pf), (wg, _, pg) = f._form, g._form
+        width = K.product_width(pf, wf, pg, wg, self.dim)
+        lf, lg = f._at(width), g._at(width)
         # a field of the OR of the keys is nonzero exactly when some term
         # has that variable; the other derivatives are zero
         masks = K.fields(self.dim, width)
@@ -134,8 +135,8 @@ class PoissonBivector(Immutable):
         for a, b, wr, wi in self._pairs:
             if a in df and b in dg:
                 K.maddmul(acc, df[a], dg[b], wr, wi)
-        return SparsePoly._from_raw(
-            self.dim, K.lower(acc, den * self._den, self.dim, width))
+        return SparsePoly._make(self.dim, width, f._form[1] * g._form[1]
+                                * self._den, acc)
 
     def __eq__(self, other):
         return (isinstance(other, PoissonBivector)

@@ -1,10 +1,11 @@
 """Exact Gaussian rational scalars.
 
 ``ExactComplex`` is the coefficient field everywhere in the package:
-a + b*i with a, b exact rationals, held as the term-map kernel's own
-normalized tuple (rn, rd, jn, jd) and computed with its ``cadd``, ``csub``
-and ``cmul``; ``re`` and ``im`` read the parts as ``Fraction``.  Equality
-is exact and decidable; there is no floating-point mode.
+a + b*i with a, b exact rationals, held as the normalized tuple
+(rn, rd, jn, jd) of the kernel's scalar arithmetic and computed with its
+``cadd``, ``csub`` and ``cmul``; ``re`` and ``im`` read the parts as
+``Fraction``.  Equality is exact and decidable, and a real value hashes
+as its ``Fraction``; there is no floating-point mode.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class ExactComplex(Immutable):
         return self._c == other._c
 
     def __hash__(self):
-        return hash(self._c)
+        return hash(self.re) if self._c[2] == 0 else hash(self._c)
 
     def __str__(self):
         return format_complex(self._c)

@@ -31,27 +31,12 @@ class HbarSeries(Immutable):
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @classmethod
-    def _from_raw(cls, arity: int, maps) -> "HbarSeries":
-        """The series whose coefficients are the term maps the caller
-        vouches for (see SparsePoly._from_raw), one per h-power, at least
-        one; the empty maps share one zero polynomial."""
-        zero = SparsePoly._from_raw(arity, {})
-        out = object.__new__(cls)
-        object.__setattr__(out, "arity", arity)
-        object.__setattr__(out, "order", len(maps) - 1)
-        object.__setattr__(out, "coeffs", tuple(
-            SparsePoly._from_raw(arity, t) if t else zero for t in maps))
-        return out
-
-    @classmethod
     def zero(cls, arity: int, order: int) -> "HbarSeries":
-        z = SparsePoly.zero(arity)
-        return cls([z] * (order + 1))
+        return cls([SparsePoly.zero(arity)] * (order + 1))
 
     @classmethod
     def from_poly(cls, p: SparsePoly, order: int) -> "HbarSeries":
-        tail = [SparsePoly.zero(p.arity)] * order
-        return cls([p] + tail)
+        return cls([p] + [SparsePoly.zero(p.arity)] * order)
 
     def __getitem__(self, k: int) -> SparsePoly:
         return self.coeffs[k]
@@ -60,17 +45,13 @@ class HbarSeries(Immutable):
         return all(c.is_zero() for c in self.coeffs)
 
     def truncate(self, order: int) -> "HbarSeries":
-        if order >= self.order:
-            pad = [SparsePoly.zero(self.arity)] * (order - self.order)
-            return HbarSeries(list(self.coeffs) + pad)
-        return HbarSeries(self.coeffs[:order + 1])
+        pad = [SparsePoly.zero(self.arity)] * (order - self.order)
+        return HbarSeries((list(self.coeffs) + pad)[:order + 1])
 
     def shift(self, j: int) -> "HbarSeries":
         """Multiply by h^j, keeping the truncation order."""
-        if j == 0:
-            return self
-        z = [SparsePoly.zero(self.arity)] * min(j, self.order + 1)
-        return HbarSeries(z + list(self.coeffs[:self.order + 1 - j]))
+        zeros = [SparsePoly.zero(self.arity)] * min(j, self.order + 1)
+        return HbarSeries((zeros + list(self.coeffs))[:self.order + 1])
 
     def map_coeffs(self, fn) -> "HbarSeries":
         return HbarSeries([fn(c) for c in self.coeffs])
@@ -90,16 +71,14 @@ class HbarSeries(Immutable):
     def __add__(self, other):
         other = self._promote(other, self.arity, self.order)
         self._check(other)
-        n = min(self.order, other.order)
-        return HbarSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
+        return HbarSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._promote(other, self.arity, self.order)
         self._check(other)
-        n = min(self.order, other.order)
-        return HbarSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
+        return HbarSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
         return self._promote(other, self.arity, self.order) - self
@@ -111,17 +90,13 @@ class HbarSeries(Immutable):
         """Commutative product: Cauchy convolution in h, truncated."""
         if isinstance(other, HbarSeries):
             self._check(other)
-            n = min(self.order, other.order)
-            out = []
-            for k in range(n + 1):
-                acc = SparsePoly.zero(self.arity)
-                for j in range(k + 1):
-                    acc = acc + self.coeffs[j] * other.coeffs[k - j]
-                out.append(acc)
-            return HbarSeries(out)
+            zero = SparsePoly.zero(self.arity)
+            return HbarSeries([
+                sum((self.coeffs[j] * other.coeffs[k - j]
+                     for j in range(k + 1)), zero)
+                for k in range(min(self.order, other.order) + 1)])
         if isinstance(other, SparsePoly):
-            if other.arity != self.arity:
-                raise ArityError(f"arity mismatch: {self.arity} vs {other.arity}")
+            self._check(other)
             return HbarSeries([c * other for c in self.coeffs])
         return self.scale(other)
 

@@ -7,6 +7,7 @@ under test.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import sympy
 
@@ -161,3 +162,27 @@ def step_crossings(a, b) -> int:
     if a.im < 0 and b.im > 0:
         return 1
     return 0
+
+
+def assert_canonical(p):
+    """p's packed form (width, den, {key: (a, b)}) is canonical, decoded
+    here field by field: den > 0, gcd(den, every a and b) = 1, no zero
+    term, the narrowest of 8, 16, 32 and 64 bits that holds the largest
+    exponent; and it is what terms() reads, every coefficient there
+    normalized."""
+    width, den, packed = p._form
+    assert den > 0
+    assert all(a or b for a, b in packed.values())
+    assert gcd(den, *(x for c in packed.values() for x in c)) == 1
+    field = (1 << width) - 1
+    decoded = {tuple(key >> width * j & field for j in range(p.arity)):
+               (Fraction(a, den), Fraction(b, den))
+               for key, (a, b) in packed.items()}
+    assert decoded == {e: (c.re, c.im) for e, c in p.terms()}
+    assert len(decoded) == len(packed) == len(p)
+    top = max((max(e) for e in decoded), default=0)
+    assert width == min(w for w in (8, 16, 32, 64) if top >> w == 0)
+    for _, c in p.terms():
+        rn, rd, jn, jd = c.to_kernel()
+        assert (rn or jn) and rd > 0 and jd > 0
+        assert gcd(rn, rd) == 1 and gcd(jn, jd) == 1

@@ -288,7 +288,7 @@ def test_translation_pull_keeps_its_taylor_rows():
     assert rows[0] and rows[1]
     assert t.pull(pairs[0][0]) == pairs[0][0].translate(t.shift)
     assert t._rows is rows
-    degrees = max(max(e) for f, g in pairs for e in (f * g)._terms)
+    degrees = max(max(e) for f, g in pairs for e, _ in (f * g).terms())
     assert max(rows[0]) <= degrees and max(rows[1]) <= degrees
 
 

@@ -18,7 +18,7 @@ SEEDS = (0, 1, 7, 42)
 
 
 def _poly_key(p):
-    return p.arity, sorted(p._terms.items())
+    return p.arity, sorted((e, c.to_kernel()) for e, c in p.terms())
 
 
 def _digest(values) -> str:

@@ -1,4 +1,4 @@
-"""The term-map kernel against Fraction arithmetic and sympy."""
+"""The packed kernel against Fraction arithmetic and sympy."""
 
 import math
 from fractions import Fraction
@@ -64,7 +64,7 @@ def test_cmul_matches_fraction_arithmetic(a, b):
 # -- references that share no code with the kernel --------------------------
 #
 # A Fraction map sends an exponent tuple to a (real, imaginary) pair of
-# Fractions; a packed key is decoded field by field here, not by K.lower.
+# Fractions; a packed key is decoded field by field here, not by the kernel.
 
 def as_fraction_map(t):
     return {e: as_fraction_pair(c) for e, c in t.items()}
@@ -112,22 +112,39 @@ def lcm_of_denominators(t):
     return math.lcm(*(d for c in t.values() for d in (c[1], c[3])))
 
 
+def narrowest(bits):
+    return min(w for w in (8, 16, 32, 64) if w >= bits)
+
+
+def packed_pair(t1, t2):
+    """The numerators of t1 and t2 in the fields of their product, with
+    the product's denominator and field width."""
+    (w1, d1, p1), (w2, d2, p2) = K.lift(t1), K.lift(t2)
+    width = K.field_width((K.top(p1, 2, w1) + K.top(p2, 2, w2)).bit_length())
+    return (K.repack(p1, 2, w1, width), K.repack(p2, 2, w2, width), d1 * d2,
+            width)
+
+
 @settings(max_examples=40)
 @given(term_maps, term_maps)
 def test_lift_then_lower_gives_back_the_map(t1, t2):
-    (p1, p2), den, width = K.lift(t1, t2)
-    d1, d2 = lcm_of_denominators(t1), lcm_of_denominators(t2)
-    assert den == d1 * d2
-    # the fields are the narrowest of 8, 16, 32 and 64 bits that hold the
-    # sum of the two maps' largest exponents
+    for t in (t1, t2):
+        width, den, p = K.lift(t)
+        # the canonical form: den is the lcm of the denominators and is
+        # coprime to the numerators, and the fields are the narrowest of
+        # 8, 16, 32 and 64 bits that hold the largest exponent
+        assert den == lcm_of_denominators(t)
+        assert math.gcd(den, *(x for c in p.values() for x in c)) == 1
+        top = max(map(max, t), default=0)
+        assert K.top(p, 2, width) == top
+        assert width == narrowest(top.bit_length())
+        assert K.lower(p, den, 2, width) == t
+        assert unpack(p, den, width) == as_fraction_map(t)
+        assert K.normal(dict(p), den, 2, width) == (width, den, p)
+    # a product's fields hold the sum of the two maps' largest exponents
     need = (max(map(max, t1), default=0)
             + max(map(max, t2), default=0)).bit_length()
-    assert width == min(w for w in (8, 16, 32, 64) if w >= need)
-    assert K.lower(p1, d1, 2, width) == t1
-    assert K.lower(p2, d2, 2, width) == t2
-    assert unpack(p1, d1, width) == as_fraction_map(t1)
-    (p,), d, w = K.lift(t1)
-    assert K.lower(p, d, 2, w) == t1
+    assert packed_pair(t1, t2)[3] == narrowest(need)
 
 
 @pytest.mark.parametrize("arity", [20, 128])
@@ -143,32 +160,42 @@ def test_lift_then_lower_gives_back_wide_maps(arity, top, width):
         t[tuple(e)] = (2 * j + 1, j + 2, -j, 1)
     t[(0,) * arity] = (0, 1, 1, 3)
     t = {e: norm_coeff(c) for e, c in t.items()}
-    (p,), den, w = K.lift(t)
+    w, den, p = K.lift(t)
     assert w == width
+    assert K.top(p, arity, w) == top
     assert K.lower(p, den, arity, w) == t
     assert unpack(p, den, w, arity) == as_fraction_map(t)
+    # repacked to the widest fields and back, the keys are the same
+    assert K.repack(K.repack(p, arity, w, 64), arity, 64, w) == p
+    assert unpack(K.repack(p, arity, w, 64), den, 64, arity) == \
+        as_fraction_map(t)
 
 
 def test_keys_past_64_bit_fields_are_refused():
-    t = {(2 ** 64, 0): (1, 1, 0, 1)}
+    # a product whose fields would pass 64 bits is refused
     with pytest.raises(InputError, match="64"):
-        K.lift(t)
-    # a sum of largest exponents past 64 bits is refused the same way
-    half = {(2 ** 63, 1): (1, 1, 0, 1)}
-    assert K.lift(half)[2] == 64
+        K.field_width(65)
+    half = starkit.SparsePoly(2, {(2 ** 63, 1): 1})
+    assert half._form[0] == 64
     with pytest.raises(InputError, match="64"):
-        K.lift(half, half)
-    with pytest.raises(InputError, match="64"):
-        K.lift({(1, 1): (1, 1, 0, 1)}, width=65)
+        half * half
     big = starkit.SparsePoly(2, {(2 ** 63, 0): 1})
     with pytest.raises(InputError, match="64"):
         big * big
+    # a polynomial itself is stored past 64 bits in whole 64-bit words
+    t = {(2 ** 64, 0): (1, 1, 0, 1), (3, 2 ** 70): (1, 2, 0, 1)}
+    width, den, p = K.lift(t)
+    assert (width, K.top(p, 2, width)) == (128, 2 ** 70)
+    assert K.lower(p, den, 2, width) == t
+    wide = starkit.SparsePoly(2, {e: 1 for e in t})
+    with pytest.raises(InputError, match="64"):
+        wide * starkit.SparsePoly.variable(2, 1)
 
 
 @settings(max_examples=40)
 @given(term_maps, st.sampled_from([0, 1]))
 def test_mdiff_matches_fraction_loop(t, var):
-    (p,), den, width = K.lift(t)
+    width, den, p = K.lift(t)
     got = K.mdiff(p, var, width)
     assert unpack(got, den, width) == ref_diff(t, var)
     assert K.lower(got, den, 2, width) == {
@@ -184,9 +211,9 @@ packed_numerators = st.dictionaries(
 @given(term_maps, term_maps, packed_numerators, st.integers(-5, 5),
        st.integers(-5, 5))
 def test_maddmul_agrees_and_accumulates(t1, t2, start, wr, wi):
-    (p1, p2), den, width = K.lift(t1, t2)
+    p1, p2, den, width = packed_pair(t1, t2)
     # a non-empty start over the product's denominator, inside the fields
-    # lift sized for t1 * t2
+    # sized for t1 * t2
     start = {e: ab for e, ab in start.items() if max(e) < 1 << width}
     acc = {pack(e, width): ab for e, ab in start.items()}
     assert K.maddmul(acc, p1, p2, wr, wi) is acc
@@ -201,13 +228,18 @@ def test_maddmul_agrees_and_accumulates(t1, t2, start, wr, wi):
 @settings(max_examples=40)
 @given(term_maps, term_maps)
 def test_mmul_commutes_and_has_no_zero_entries(t1, t2):
-    p = K.mmul(t1, t2)
-    q = K.mmul(t2, t1)
-    assert p == q
-    assert as_fraction_map(p) == ref_product(t1, t2)
-    assert all(c[0] != 0 or c[2] != 0 for c in p.values())
-    # denominators stay positive and in lowest terms
-    for c in p.values():
+    p1, p2, den, width = packed_pair(t1, t2)
+    p = K.mmul(p1, p2)
+    assert p == K.mmul(p2, p1)
+    assert unpack(p, den, width) == ref_product(t1, t2)
+    # normalized once, the product is canonical: no zero entries, and
+    # positive denominators in lowest terms
+    w, d, q = K.normal(p, den, 2, width)
+    assert all(a or b for a, b in q.values())
+    assert d > 0 and math.gcd(d, *(x for c in q.values() for x in c)) == 1
+    assert w == narrowest(K.top(q, 2, w).bit_length())
+    assert unpack(q, d, w) == ref_product(t1, t2)
+    for c in K.lower(q, d, 2, w).values():
         assert c == norm_coeff(c) and c[1] > 0 and c[3] > 0
 
 
@@ -215,13 +247,13 @@ def test_mmul_commutes_and_has_no_zero_entries(t1, t2):
 @given(st.dictionaries(exps, nonzero_coeffs, min_size=1, max_size=1),
        term_maps)
 def test_mmul_by_one_term_is_the_packed_product(t1, t2):
-    # a one-term factor skips lift and lower; the result is the same map,
-    # in the same order, as the packed route gives
-    (p1, p2), den, width = K.lift(t1, t2)
-    want = K.lower(K.maddmul({}, p1, p2, 1, 0), den, 2, width)
-    for p in (K.mmul(t1, t2), K.mmul(t2, t1)):
+    # a one-term factor only shifts and scales the other; the result is
+    # the same map, in the same order, as the loop over pairs gives
+    p1, p2, _, _ = packed_pair(t1, t2)
+    want = K.maddmul({}, p1, p2, 1, 0)
+    for p in (K.mmul(p1, p2), K.mmul(p2, p1)):
         assert list(p.items()) == list(want.items())
-        assert all(c[0] != 0 or c[2] != 0 for c in p.values())
+        assert all(a or b for a, b in p.values())
 
 
 def _map_to_sympy(t, x, y):
@@ -238,14 +270,15 @@ T2 = {(0, 2): (4, 1, 0, 1), (1, 0): (-1, 3, 1, 2), (0, 0): (0, 1, 1, 1)}
 
 def test_mmul_against_sympy():
     x, y = sympy.symbols("x y")
-    got = _map_to_sympy(K.mmul(T1, T2), x, y)
+    p1, p2, den, width = packed_pair(T1, T2)
+    got = _map_to_sympy(K.lower(K.mmul(p1, p2), den, 2, width), x, y)
     want = sympy.expand(_map_to_sympy(T1, x, y) * _map_to_sympy(T2, x, y))
     assert sympy.simplify(got - want) == 0
 
 
 def test_maddmul_against_sympy():
     x, y = sympy.symbols("x y")
-    (p1, p2), den, width = K.lift(T1, T2)
+    p1, p2, den, width = packed_pair(T1, T2)
     assert den == 30 * 6
     # start from 7/den x^3 y - 2i/den, then add (2 - 3i) T1 T2
     acc = {pack((3, 1), width): (7, 0), 0: (0, -2)}
@@ -261,7 +294,7 @@ def test_maddmul_against_sympy():
 def test_mdiff_against_sympy():
     x, y = sympy.symbols("x y")
     t = {(3, 1): (1, 1, 0, 1), (0, 2): (5, 2, -1, 3), (1, 0): (0, 1, 2, 1)}
-    (p,), den, width = K.lift(t)
+    width, den, p = K.lift(t)
     for var, s in ((0, x), (1, y)):
         got = _map_to_sympy(K.lower(K.mdiff(p, var, width), den, 2, width),
                             x, y)
@@ -270,10 +303,12 @@ def test_mdiff_against_sympy():
 
 
 def test_zero_polynomial_is_empty_dict():
-    t = {(1, 0): (1, 1, 0, 1)}
-    assert K.msub(t, t) == {}
-    assert K.mmul(t, {}) == {}
-    assert K.mscale(t, (0, 1, 0, 1)) == {}
+    width, den, p = K.lift({(1, 0): (1, 1, 0, 1)})
+    zero = (8, 1, {})
+    assert K.normal(K.madd(p, p, 1, -1), den, 2, width) == zero
+    assert K.mmul(p, {}) == {}
+    assert K.normal(K.mmul(p, {0: (0, 0)}), den, 2, width) == zero
+    assert starkit.SparsePoly.zero(2)._form == zero
 
 
 def test_backend_is_the_python_kernel():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from starkit import _kernel as K
 from starkit import multi
 from starkit.corpus import random_permutations, random_poly, random_poly_pairs
 from starkit.errors import ArityError, InputError
@@ -95,8 +94,8 @@ def test_corrupted_action_breaks_equivariance():
             new = list(exps)
             for i in range(n):
                 new[2 * sigma.images[i]] = exps[2 * i]
-            out[tuple(new)] = coeff.to_kernel()
-        return SparsePoly._from_raw(f.arity, out)
+            out[tuple(new)] = coeff
+        return SparsePoly(f.arity, out)
 
     swap = multi.Permutation((1, 0))
     f = ps.zeta(1) * ps.lam(1)
@@ -186,15 +185,15 @@ def _near_symmetric(draw):
                                                max_size=4)))
     if not draw(st.booleans()):
         return f
-    terms = dict(multi.symmetrize(f)._terms)
+    terms = dict(multi.symmetrize(f).terms())
     edit = draw(st.sampled_from(["none", "drop", "double"]))
     if terms and edit != "none":
         e = draw(st.sampled_from(sorted(terms)))
         if edit == "drop":
             del terms[e]
         else:
-            terms[e] = K.cmul(terms[e], (2, 1, 0, 1))
-    return SparsePoly._from_raw(2 * n, terms)
+            terms[e] = terms[e] * 2
+    return SparsePoly(2 * n, terms)
 
 
 @given(_near_symmetric())
@@ -209,13 +208,13 @@ def test_is_symmetric_edge_cases():
     avg = multi.symmetrize(ps.zeta(1) * ps.lam(2))
     assert multi.is_symmetric(avg)
     # a swap image that is not a term
-    missing = dict(avg._terms)
+    missing = dict(avg.terms())
     del missing[(1, 0, 0, 1, 0, 0)]
-    assert not multi.is_symmetric(SparsePoly._from_raw(6, missing))
+    assert not multi.is_symmetric(SparsePoly(6, missing))
     # every image present, one coefficient differs on the orbit
-    unequal = dict(avg._terms)
-    unequal[(0, 0, 1, 0, 0, 1)] = (1, 1, 0, 1)
-    assert not multi.is_symmetric(SparsePoly._from_raw(6, unequal))
+    unequal = dict(avg.terms())
+    unequal[(0, 0, 1, 0, 0, 1)] = 1
+    assert not multi.is_symmetric(SparsePoly(6, unequal))
     # fixed by the cyclic shift of the copies, moved by every swap
     cyclic = (ps.zeta(1) * ps.lam(2) + ps.zeta(2) * ps.lam(3)
               + ps.zeta(3) * ps.lam(1))

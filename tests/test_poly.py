@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 import sympy
@@ -12,7 +11,7 @@ from starkit.parsing import parse_poly
 from starkit.poly import SparsePoly, grlex_key
 from starkit.scalars import ExactComplex
 
-from oracles import poly_to_sympy, symbols_for
+from oracles import assert_canonical, poly_to_sympy, symbols_for
 
 
 def v(i, arity=2):
@@ -120,9 +119,7 @@ def test_subst_matches_sympy(arity, degree, gs, seed):
     f = random_poly(arity, degree, seed)
     got = f.subst(gs)
     assert got.arity == gs[0].arity
-    for rn, rd, jn, jd in got._terms.values():
-        assert (rn or jn) and rd > 0 and jd > 0
-        assert gcd(rn, rd) == 1 and gcd(jn, jd) == 1
+    assert_canonical(got)
     want = _sympy_subst(f, gs)
     assert sympy.expand(poly_to_sympy(got, symbols_for(got.arity))
                         - want) == 0
@@ -249,3 +246,74 @@ def test_hash_consistent_with_eq(s):
 def test_pow():
     assert v(1) ** 0 == c(1)
     assert (v(1) + v(2)) ** 2 == v(1) ** 2 + 2 * v(1) * v(2) + v(2) ** 2
+
+
+# -- one canonical packed form ----------------------------------------------
+
+parts = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8))
+gaussians = st.builds(ExactComplex, parts, parts)
+
+
+def polys(arity, top=3):
+    exps = st.tuples(*[st.integers(0, top)] * arity)
+    return st.dictionaries(exps, gaussians, max_size=5).map(
+        lambda terms: SparsePoly(arity, terms))
+
+
+def assert_same(p, q):
+    """Built two ways, one polynomial: equal, hashed alike, printed alike,
+    and both in the canonical form."""
+    assert p == q and hash(p) == hash(q) and str(p) == str(q)
+    assert_canonical(p)
+    assert_canonical(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(2), polys(2), polys(2))
+def test_products_associate_to_one_form(f, g, h):
+    assert_same((f * g) * h, f * (g * h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(2), st.tuples(gaussians, gaussians))
+def test_translating_back_gives_the_same_form(f, shift):
+    back = f.translate(shift).translate([-x for x in shift])
+    assert_same(back, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(3))
+def test_substituting_the_coordinates_gives_the_same_form(f):
+    assert_same(f.subst([v(k, 3) for k in (1, 2, 3)]), f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(3))
+def test_parsing_the_printed_text_gives_the_same_form(f):
+    assert_same(parse_poly(str(f), 3), f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(2), polys(2), st.integers(256, 70_000),
+       gaussians.filter(lambda z: not z.is_zero()))
+def test_cancelling_the_wide_terms_narrows_the_fields(p, q, top, coeff):
+    # only q has an exponent above 255, so p + q needs 16- or 32-bit
+    # fields, and (p + q) - q is p again, in p's 8-bit fields
+    q = q + SparsePoly(2, {(top, 1): coeff})
+    assert p._form[0] == 8 and q._form[0] > 8
+    assert (p + q)._form[0] == q._form[0]
+    assert_same((p + q) - q, p)
+
+
+def test_constants_hash_like_the_scalars_they_equal():
+    # equal values hash alike, so a constant finds its scalar's entry
+    for value in (1, 0, -3, Fraction(1, 2), Fraction(-7, 3)):
+        for x in (SparsePoly.const(2, value), ExactComplex(value)):
+            assert x == value and hash(x) == hash(value)
+            assert {value: "x"}.get(x) == "x"
+    assert {1: "x"}.get(SparsePoly.const(2, 1)) == "x"
+    assert hash(SparsePoly.zero(3)) == hash(0)
+    # a constant that is not real hashes as its ExactComplex
+    z = ExactComplex(Fraction(1, 2), 3)
+    assert SparsePoly.const(2, z) == z
+    assert hash(SparsePoly.const(2, z)) == hash(z)

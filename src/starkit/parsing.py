@@ -70,6 +70,7 @@ def _check_literal(digits: str, col: int) -> None:
 
 
 def _tokenize(text: str):
+    text = text.rstrip()  # so trailing whitespace changes no result or error
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup

@@ -456,6 +456,15 @@ def test_malformed_expression_is_exit_2(capsys):
     assert "exact rational" in err
 
 
+def test_trailing_whitespace_in_an_expression_is_read_as_nothing(capsys):
+    want = run(capsys, "star", "--order", "3", "z1", "z2")
+    assert want[0] == 0
+    for f in ("z1 ", "z1\t", "z1 \n"):
+        assert run(capsys, "star", "--order", "3", f, "z2 ") == want
+    assert run(capsys, "star", "z1 + \t", "z2") == run(capsys, "star",
+                                                        "z1 +", "z2")
+
+
 # expression text from a small alphabet: the parser must answer every
 # string with a result (exit 0) or a malformed-input error (exit 2)
 EXPRESSION_TOKENS = list("0123456789+-*^() ") + ["z1", "z2", "q1", "p1", "h"]

@@ -246,15 +246,31 @@ def _token_soup(count: int, seed: int) -> list:
             for _ in range(count)]
 
 
+def _outcome(text: str) -> str:
+    """The parsed series of text, or its error message with the column."""
+    try:
+        return series_to_str(parse_series(text, 3, 2))
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
 def test_token_soup_results_are_pinned():
-    # SHA-256 of each text's parsed series, or its error message with the
-    # column, recorded before the tokenizer became one finditer pass
+    # SHA-256 of each text's outcome, recorded once trailing whitespace
+    # was read as nothing (988 texts that end in whitespace changed then)
     digest = hashlib.sha256()
     for text in _token_soup(20_000, seed=24):
-        try:
-            out = series_to_str(parse_series(text, 3, 2))
-        except ParseError as exc:
-            out = f"ParseError: {exc}"
-        digest.update(out.encode() + b"\0")
+        digest.update(_outcome(text).encode() + b"\0")
     assert digest.hexdigest() == (
-        "9502038071253b9288fbeb3cf58e8b9ce4163f5e17651dfb541c4e98991de4da")
+        "9425420720feb2cefca8321a817b3563b3bb41469a0ab47bc86c67f76b8e7683")
+
+
+def test_trailing_whitespace_changes_no_outcome():
+    # a text gives the result, or the error message and column, of the
+    # same text without its trailing whitespace
+    texts = _token_soup(20_000, seed=24)
+    texts += ["z1 ", "z1\t", "z1 \n", "z1\n ", "z1 + \t", "(z1 ", "1. "]
+    for text in texts:
+        if text != text.rstrip():
+            assert _outcome(text) == _outcome(text.rstrip()), repr(text)
+    assert _outcome("z1 +\t ") == _outcome("z1 +") == (
+        "ParseError: syntax error at column 5: expected an operand")

@@ -314,6 +314,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if [] in vars(args).values():  # "star -- f --": argparse drops g
+            raise InputError("an expression argument is missing")
         # commands taking --count run that many generated cases; none
         # would be a vacuous pass
         if getattr(args, "count", 1) < 1:

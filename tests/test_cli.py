@@ -465,6 +465,14 @@ def test_trailing_whitespace_in_an_expression_is_read_as_nothing(capsys):
                                                         "z1 +", "z2")
 
 
+def test_operand_dropped_after_a_second_double_dash_is_exit_2(capsys):
+    # argparse takes "--" as the end of options once more and leaves g an
+    # empty list rather than refusing the command line
+    code, out, err = run(capsys, "star", "--", "0", "--")
+    assert (code, out) == (2, "")
+    assert err == "error: an expression argument is missing\n"
+
+
 # expression text from a small alphabet: the parser must answer every
 # string with a result (exit 0) or a malformed-input error (exit 2)
 EXPRESSION_TOKENS = list("0123456789+-*^() ") + ["z1", "z2", "q1", "p1", "h"]

@@ -151,20 +151,19 @@ def top(p, arity, width):
     return max(map(max, exponents(p, arity, width)), default=0)
 
 
-def bits(p, arity, width):
-    """The bit length of the largest exponent in the keys of p: that of
-    the largest field of their OR."""
-    return max(exponents([reduce(or_, p, 0)], arity, width)[0]).bit_length()
+@lru_cache(maxsize=64)
+def _high(arity, width):
+    """The top bit of every field of a key."""
+    return sum(1 << width * j + width - 1 for j in range(arity))
 
 
 def product_width(p1, w1, p2, w2, arity):
-    """The fields of the product of p1 and p2, in fields of w1 and w2
-    bits: the narrowest that hold the sum of their largest exponents.
-    The sum has the bit length b of the larger or one more, so only when
-    one more would widen the fields are the exponents read term by term."""
-    b = max(bits(p1, arity, w1), bits(p2, arity, w2))
-    if b < 64 and field_width(b) == field_width(b + 1):
-        return field_width(b)
+    """The fields of the product of canonical maps p1 and p2 (in fields of
+    w1 and w2 bits): the narrowest that hold the sum of their largest
+    exponents, which fits w1 = w2 when no key sets a field's top bit."""
+    if w1 == w2 and not (reduce(or_, p1, 0) | reduce(or_, p2, 0)) & _high(
+            arity, w1):
+        return w1
     return field_width((top(p1, arity, w1) + top(p2, arity, w2)).bit_length())
 
 
@@ -194,7 +193,7 @@ def normal(p, den, arity, width):
         den //= g
         p = {key: (a // g, b // g) for key, (a, b) in p.items()}
     if width > 8:
-        new = field_width(bits(p, arity, width), True)
+        new = field_width(top(p, arity, width).bit_length(), True)
         p = repack(p, arity, width, new)
         width = new
     return width, den, p

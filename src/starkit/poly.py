@@ -25,6 +25,9 @@ from .errors import ArityError, Immutable
 from .scalars import ExactComplex
 
 
+_set = object.__setattr__  # fills slots past Immutable.__setattr__
+
+
 def grlex_key(exps):
     return (sum(exps), exps)
 
@@ -79,10 +82,9 @@ class SparsePoly(Immutable):
             c = _coerce_coeff(coeff)
             if c[0] != 0 or c[2] != 0:
                 raw[exps] = K.cadd(raw[exps], c) if exps in raw else c
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_form", K.lift({
+        _set(self, "arity", arity)
+        _set(self, "_form", K.lift({
             e: c for e, c in raw.items() if c[0] != 0 or c[2] != 0}))
-        object.__setattr__(self, "_hash", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -110,16 +112,15 @@ class SparsePoly(Immutable):
         """p / den, p packed in fields of this width, brought to the
         canonical form unless the caller vouches it is (normal=False)."""
         out = object.__new__(cls)
-        object.__setattr__(out, "arity", arity)
-        object.__setattr__(out, "_form", K.normal(p, den, arity, width)
-                           if normal else (width, den, p))
-        object.__setattr__(out, "_hash", None)
+        _set(out, "arity", arity)
+        _set(out, "_form", K.normal(p, den, arity, width) if normal
+             else (width, den, p))
         return out
 
     def _at(self, width: int) -> dict:
         """The numerators, keyed in fields of this width."""
         w, _, p = self._form
-        return K.repack(p, self.arity, w, width)
+        return p if w == width else K.repack(p, self.arity, w, width)
 
     def _items(self) -> dict:
         """The map from exponent tuples to kernel coefficients."""
@@ -373,13 +374,14 @@ class SparsePoly(Immutable):
 
     def __hash__(self):
         """A constant hashes as its scalar, which it equals."""
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             w, den, p = self._form
             h = (hash(self.constant_value()) if self.is_constant()
                  else hash((self.arity, w, den, frozenset(p.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+            _set(self, "_hash", h)
+            return h
 
     def __str__(self):
         from .parsing import poly_to_str

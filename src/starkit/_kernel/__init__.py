@@ -8,8 +8,8 @@ every computation keeps from start to end:
     key = sum of e[j] << (width * j)             one bit field per variable
 
 The form is canonical: den > 0, the gcd of den and every a and b is 1,
-no term is zero, and a field is 8, 16, 32 or 64 bits wide, the narrowest
-that holds the largest exponent.  ``normal`` brings a result there once:
+no term is zero, and a field is the narrowest of 8, 16, 32 and 64 bits
+(past those, whole 64-bit words) that holds the largest exponent.  ``normal`` brings a result there once:
 it drops cancelled terms, divides by one running gcd that stops at 1,
 and repacks (``repack``) only when the fields narrow.
 
@@ -160,8 +160,8 @@ def _high(arity, width):
 def product_width(p1, w1, p2, w2, arity):
     """The fields of the product of canonical maps p1 and p2 (in fields of
     w1 and w2 bits): the narrowest that hold the sum of their largest
-    exponents, which fits w1 = w2 when no key sets a field's top bit."""
-    if w1 == w2 and not (reduce(or_, p1, 0) | reduce(or_, p2, 0)) & _high(
+    exponents, which fits w1 = w2 <= 64 when no key sets a field's top bit."""
+    if w1 == w2 <= 64 and not (reduce(or_, p1, 0) | reduce(or_, p2, 0)) & _high(
             arity, w1):
         return w1
     return field_width((top(p1, arity, w1) + top(p2, arity, w2)).bit_length())

@@ -661,6 +661,14 @@ PINNED_JSON = {
                      "tests/fixtures/hexagon.json", "--count", "2"),
                     "e6c3b8b2947037fe33b346d092710453"
                     "e3c0e1a99b3917b2bb4a99fee2801a98"),
+    # series factors whose every coefficient is one-body: each term lies
+    # in at most one copy, with constants and h-terms in both factors
+    "product-star-one-body-series": (
+        ("product-star", "--n", "3",
+         "q1*p1^2 + h*(p2^2 - 1/3*q3) + h^2*q1^3 - 5",
+         "i*p1*q1 + 1/2*q2^2 + h*p3^2 + h^3*(q1 + p2^2)"),
+        "3a0c3b09aef14efc50dacb57b3b09531"
+        "d7d16e2cc713b8c4fe434780990ad487"),
 }
 
 
@@ -676,6 +684,12 @@ def test_json_output_is_pinned(capsys, monkeypatch, name):
 
 # z1^128, written as a product since "^" refuses degrees past 64
 Z1_128 = "z1^64*z1^64"
+
+
+def power_sum(copies: int, a: int, b: int) -> str:
+    """P_{a,b} = sum_i q_i^a p_i^b, written out."""
+    return " + ".join(f"q{i}^{a}*p{i}^{b}" for i in range(1, copies + 1))
+
 
 # SHA-256 of the text and the --json report, with the exit code, of runs
 # whose report carries extra outputs or whose map gate fails
@@ -731,6 +745,34 @@ PINNED_RUNS = {
          "--count", "3"), 0,
         "8f70f7cb91ecdca0f4f668e7e8538276c8e1bd9259957f2f5fa07dbde0da8a29",
         "eb6a8c31f5a8afe934acba8bcea6e647f8743277ca7c52b5be5d3c56950d2452"),
+    # symmetric multiples of power sums on Sym^delta, delta = 5 and 10
+    "product-star-symmetric-delta-5": (
+        ("product-star", "--rank", "2", "--genus", "2",
+         f"(1/2 - 2*i)*({power_sum(5, 2, 3)})",
+         f"(2/3 + i)*({power_sum(5, 3, 2)})"), 0,
+        "7b4cc2f8112df8cb46c751b55638453a333abb4c6361d991fe821d9d224ae94d",
+        "0a6db05484ae521e84b93985ec788d9f05ae6d3e7001ecfe0cf14698cc21e164"),
+    "product-star-symmetric-delta-10": (
+        ("product-star", "--rank", "3", "--genus", "2",
+         f"-3/2*({power_sum(10, 2, 2)})",
+         f"(1 - 1/3*i)*({power_sum(10, 3, 1)})"), 0,
+        "ec1665eb1068d0548084a8f29fddd6ec8e9d6e420677533f1040b10b9ef9f82f",
+        "922210ee070c3bc41c86b13ed1a0f0706820bb86330fe7fdbfb42a397147c07b"),
+    # one-body factors that differ from copy to copy, with constants
+    "product-star-one-body-with-constant": (
+        ("product-star", "--n", "4",
+         "2/3 + q1^2*p1 - i*p2^3 + 3*q3*p3^2 + q4^4 - 1/2*p1",
+         "-1/5*i + q1*p1^2 + q2^3 + (1+i)*q3^3*p3 + p4 + 4*q1"), 0,
+        "c4f2cb497e685f77ea8a3b23ba925c8f18456095ce006f049396e8edda61823d",
+        "6004e2d3434309403f959084ead87f0a7ca5d3c01e53cd5a292ebdd6eed3383a"),
+    # fiber power sums, which star-commute: no h-terms at all
+    "product-star-fiber-power-sums": (
+        ("product-star", "--n", "6",
+         " + ".join(f"p{i}^3" for i in range(1, 7)),
+         "(1/2 - i)*(" + " + ".join(f"p{i}^4" for i in range(1, 7)) + ")"),
+        0,
+        "268491d5a0d9fd957c4039ad5f975a5532b48e78ee2d6e9ea51abd74a348301c",
+        "433baf8c953d6ac6a483c0838a8790a00d80cc1075ca7242df021fe6b044a105"),
 }
 
 

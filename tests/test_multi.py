@@ -275,3 +275,14 @@ def test_moduli_copy_counts():
         multi.moduli_copies(0, 2)
     with pytest.raises(InputError):
         multi.moduli_copies(2, 0)
+
+
+@pytest.mark.parametrize("delta, j, k", [(5, 3, 5), (10, 4, 6), (17, 2, 3)])
+def test_hitchin_reports_are_pinned(delta, j, k):
+    rep = multi.hitchin_commutation_check(multi.ProductSpace(delta), j, k)
+    assert rep.to_dict() == {
+        "title": "power-sum commutation", "passed": True, "checks": [
+            {"name": f"bracket p{j},p{k} vanishes", "passed": True,
+             "detail": ""},
+            {"name": f"star commutator p{j},p{k} vanishes", "passed": True,
+             "detail": ""}]}

@@ -15,12 +15,11 @@ Report and no outputs, the Report's summary and pass or fail.
 
 The argument parser is built on the first main() call and kept for the
 rest of the process, so a program that calls main() many times builds
-it once; importing the module builds nothing.
+it once; importing the module builds nothing, nor imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
@@ -221,6 +220,7 @@ def cmd_verify_transport(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="starkit",
         description="Exact star products: Moyal expansion, surface "

@@ -27,7 +27,7 @@ adds two maps under integer scales; ``mdiff`` multiplies numerators by
 the exponent and keeps den.  The denominators are the caller's to track.
 ``lift`` and ``lower`` convert between the packed form and a map from
 exponent tuples to normalized Gaussian rationals (rn, rd, jn, jd), at
-the edges only: the public constructor, ``terms()`` and the printer.
+the edges only, such as the public constructor and ``terms()``.
 ``qnorm``, ``cadd``, ``csub`` and ``cmul`` are ``ExactComplex``'s
 arithmetic on those tuples.
 

@@ -24,7 +24,7 @@ and powers; ``parse_poly`` and ``parse_series`` split off h's field.
 The printer emits one canonical form: terms in descending graded
 lexicographic order, series coefficients in ascending powers of h, and
 ``parse(print(x)) == x`` exactly.  Within one call it formats each
-variable power and each coefficient once.
+variable power, and reduces each distinct coefficient, once.
 """
 
 from __future__ import annotations
@@ -326,12 +326,14 @@ def _pieces(p: SparsePoly, names, powers: dict, prefixes: dict) -> list:
     """(sign, body) per term, in descending graded lexicographic order.
 
     powers maps (variable, exponent) to its text and prefixes maps
-    (coefficient, has monomial) to _coefficient's result; both are
-    filled as pieces are first met, so a caller formats each once.
+    (a, b, den, has monomial) to _coefficient's result; both are filled
+    as pieces are first met, so a caller reduces and formats each once.
     """
-    terms = p._items()
+    width, den, terms = p._form
+    rows = K.exponents(terms, p.arity, width)
     out = []
-    for _, exps in sorted([(sum(e), e) for e in terms], reverse=True):
+    for _, exps, (a, b) in sorted(zip(map(sum, rows), rows, terms.values()),
+                                  reverse=True):
         parts = []
         for j, e in enumerate(exps):
             if e:
@@ -341,10 +343,11 @@ def _pieces(p: SparsePoly, names, powers: dict, prefixes: dict) -> list:
                                            else f"{names[j]}^{e}")
                 parts.append(text)
         mono = "*".join(parts)
-        key = (terms[exps], bool(parts))
+        key = (a, b, den, bool(parts))
         piece = prefixes.get(key)
         if piece is None:
-            piece = prefixes[key] = _coefficient(*key)
+            piece = prefixes[key] = _coefficient(
+                K.qnorm(a, den) + K.qnorm(b, den), key[3])
         out.append((piece[0], piece[1] + mono))
     return out
 

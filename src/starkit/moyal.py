@@ -50,6 +50,19 @@ so a deep branch does not carry them; when the walk has finished, the
 depths are regrouped by h-power, over the denominator of the deepest
 depth that reaches it, what lies past the order is dropped, and each
 coefficient is normalized once.
+
+On two or more copies of one 2 x 2 block on the pairs (z_2i-1, z_2i),
+as on a product space, distinct copies star-commute: for one-body
+f = sum_i f_i and g = sum_i g_i, each term in at most copy i,
+
+    f * g = f g + sum over copies i of (f_i * g_i - f_i g_i).
+
+So such factors, as power sums sum_i phi(zeta_i, lambda_i), take the
+plain product once, plus for each copy where one has the base variable
+and the other the fiber the depth >= 1 part of the walk on one pair,
+its keys shifted into the copy.  Equal copy parts are multiplied once
+per call, and a series goes pair of coefficients by pair.  A scan that
+stops at the first term in two copies sends all else to the walk.
 """
 
 from __future__ import annotations
@@ -123,6 +136,41 @@ def _with_h(coeffs, js, width: int, hshift: int) -> tuple:
     return out, den
 
 
+def _by_copy(coeffs, order: int):
+    """For each coeffs[j], j <= order, {i: its nonconstant terms in copy i,
+    keyed as in copy 0}; None at the first term in two copies, or in fields
+    past 32 bits, whose products the walk sizes or refuses."""
+    out = []
+    for p in coeffs[:order + 1]:
+        step, parts = 2 * p._form[0], {}
+        if step > 64:
+            return None
+        for key, c in p._form[2].items():
+            if key:
+                at = (key.bit_length() - 1) // step * step
+                if key >> at << at != key:
+                    return None
+                parts.setdefault(at // step, {})[key >> at] = c
+        out.append(parts)
+    return out
+
+
+def _gather(p: SparsePoly, moved: list) -> SparsePoly:
+    """p plus each one-pair polynomial r of moved, (i, r), its keys shifted
+    into copy i, over one denominator and normalized once."""
+    if not moved:
+        return p
+    width = max(p._form[0], *(r._form[0] for _, r in moved))
+    den = lcm(p._form[1], *(r._form[1] for _, r in moved))
+    acc = K.madd(p._at(width), {}, den // p._form[1])
+    for i, r in moved:
+        s, at = den // r._form[1], 2 * width * i
+        for key, (a, b) in r._at(width).items():
+            x, y = acc.get(key << at, (0, 0))
+            acc[key << at] = (x + a * s, y + b * s)
+    return SparsePoly._make(p.arity, width, den, acc)
+
+
 class StarProduct(Immutable):
     """Star product attached to a constant Poisson bivector.
 
@@ -130,7 +178,8 @@ class StarProduct(Immutable):
     every truncation of polynomial inputs is exact regardless.
     """
 
-    __slots__ = ("bivector", "dim", "order", "_pairs", "_ds", "_masked")
+    __slots__ = ("bivector", "dim", "order", "_pairs", "_ds", "_masked",
+                 "_copy")
 
     def __init__(self, bivector: PoissonBivector, order: int = 8):
         if bivector.dim % 2 != 0:
@@ -149,6 +198,9 @@ class StarProduct(Immutable):
         object.__setattr__(self, "_ds", 2 * bivector._den)
         # the entries with their field masks, by field width (_entries)
         object.__setattr__(self, "_masked", {})
+        # the star of one pair when the bivector is copies of one 2 x 2
+        # block on the pairs (z_2i-1, z_2i), else False; found on first use
+        object.__setattr__(self, "_copy", None)
 
     @classmethod
     def from_form(cls, form: SymplecticForm, order: int = 8) -> "StarProduct":
@@ -177,8 +229,49 @@ class StarProduct(Immutable):
 
     def _bidiff(self, order: int, fs, gs) -> list:
         """The h^n coefficients, n = 0..order, of the product of the series
-        sum_j h^j fs[j] and sum_k h^k gs[k], as polynomials indexed by n;
-        the walk described in the module docstring."""
+        sum_j h^j fs[j] and sum_k h^k gs[k], as polynomials indexed by n:
+        on the one-body path of the module docstring where it applies."""
+        if self._copy is None:
+            p = self._pairs  # row by row, so a copy's block is p[:2]
+            object.__setattr__(self, "_copy", self.dim > 2 and p == tuple(
+                (a + i, b + i, x, y) for i in range(0, self.dim, 2)
+                for a, b, x, y in p[:2]) and StarProduct(PoissonBivector(
+                    [row[:2] for row in self.bivector.matrix[:2]])))
+        one = self._copy
+        fparts = one and _by_copy(fs, order)
+        gparts = fparts and _by_copy(gs, order)
+        if not gparts:
+            return self._walk(order, fs, gs)
+        plain = [SparsePoly.zero(self.dim)] * (order + 1)
+        moved = [[] for _ in range(order + 1)]
+        products = {}  # f_i * g_i by (j, k) and the two copy parts
+        for j, f in enumerate(fs[:order + 1]):
+            (wf, df, _), fp = f._form, fparts[j]
+            for k, g in enumerate(gs[:order + 1 - j]):
+                if not (f and g):
+                    continue
+                (wg, dg, _), gp = g._form, gparts[k]
+                fg = f * g
+                plain[j + k] = plain[j + k] + fg if plain[j + k] else fg
+                zf, zg = (1 << wf) - 1, (1 << wg) - 1  # the base fields
+                for i in fp.keys() & gp.keys():
+                    orf, org = reduce(or_, fp[i], 0), reduce(or_, gp[i], 0)
+                    if not (orf & zf and org > zg or orf > zf and org & zg):
+                        continue  # copy i commutes
+                    key = (j, k, frozenset(fp[i].items()),
+                           frozenset(gp[i].items()))
+                    r = products.get(key)
+                    if r is None:
+                        r = products[key] = one._bidiff(order - j - k, (
+                            SparsePoly._make(2, wf, df, fp[i]),), (
+                            SparsePoly._make(2, wg, dg, gp[i]),))
+                    for m in range(1, len(r)):
+                        if r[m]:
+                            moved[j + k + m].append((i, r[m]))
+        return [_gather(p, parts) for p, parts in zip(plain, moved)]
+
+    def _walk(self, order: int, fs, gs) -> list:
+        """_bidiff by the walk of the module docstring, the general product."""
         dim = self.dim
         jf, degf, topf = _support(fs, order)
         jg, degg, topg = _support(gs, order)

@@ -6,7 +6,8 @@ z_{2i} = lambda_i (1-based).  Its bivector is block-diagonal, so distinct
 copies star-commute exactly, and the symmetric group acts by relabelling
 whole (zeta_i, lambda_i) pairs at once.  The action is on the left:
 sigma sends the content of copy i to copy sigma(i), and composing actions
-matches composing permutations.
+matches composing permutations.  One-body factors, such as power sums,
+are multiplied copy by copy (``starkit.moyal``).
 """
 
 from __future__ import annotations

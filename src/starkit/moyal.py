@@ -254,7 +254,7 @@ class StarProduct(Immutable):
                 fg = f * g
                 plain[j + k] = plain[j + k] + fg if plain[j + k] else fg
                 zf, zg = (1 << wf) - 1, (1 << wg) - 1  # the base fields
-                for i in fp.keys() & gp.keys():
+                for i in fp.keys() & gp.keys() if j + k < order else ():
                     orf, org = reduce(or_, fp[i], 0), reduce(or_, gp[i], 0)
                     if not (orf & zf and org > zg or orf > zf and org & zg):
                         continue  # copy i commutes

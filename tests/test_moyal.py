@@ -11,6 +11,7 @@ from starkit.corpus import (random_poly, random_poly_pairs,
                             random_poly_triples, random_sl2_matrices,
                             random_translations)
 from starkit.errors import InputError
+from starkit import cli, multi
 from starkit.moyal import (StarProduct, linear_action_check,
                            translation_equivariance_check, verify_dq_axioms,
                            verify_star_axioms)
@@ -20,6 +21,7 @@ from starkit.poly import SparsePoly
 from starkit.scalars import ExactComplex
 from starkit.series import HbarSeries
 
+from conftest import fixture_path
 from oracles import assert_canonical, bivector_to_sympy, poly_to_sympy, \
     ref_bidiff, ref_star, series_to_sympy, symbols_for
 
@@ -429,12 +431,145 @@ def test_walk_differentiates_only_where_a_derivative_is_not_zero(monkeypatch):
     monkeypatch.setattr(K, "mdiff", traced_mdiff)
     monkeypatch.setattr(StarProduct, "_bidiff", scoped(bidiff))
     monkeypatch.setattr(PoissonBivector, "bracket", scoped(bracket))
+    walks = count_walks(monkeypatch)
     ps.star.star(f, g)
     ps.star.star_series(F, G)
     ps.star.bracket(f, g)
     # the walk and the bracket did differentiate, and never to zero
     assert len(results) > 20
     assert all(results)
+    # g's term z2 lambda2 z3 lies in copies 2 and 3, so both products
+    # took the walk on the whole product space, not the one-body path
+    assert walks == [10, 10]
+
+
+# -- the one-body path on copies of one pair ----------------------------------
+
+def count_walks(monkeypatch) -> list:
+    """The dimension of every star whose walk runs from now on."""
+    dims = []
+    walk = StarProduct._walk
+
+    def counted(self, *args):
+        dims.append(self.dim)
+        return walk(self, *args)
+
+    monkeypatch.setattr(StarProduct, "_walk", counted)
+    return dims
+
+
+def polarized_sum(ps, a, b, c=1):
+    """c P_{a,b} = c sum_i zeta_i^a lambda_i^b."""
+    return sum((ps.zeta(i) ** a * ps.lam(i) ** b
+                for i in range(1, ps.copies + 1)),
+               SparsePoly.zero(ps.dim)).scale(c)
+
+
+gauss_parts = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+gauss = st.builds(ExactComplex, gauss_parts, gauss_parts)
+
+
+@st.composite
+def one_body(draw, copies):
+    """A polynomial whose every term lies in at most one copy: one block
+    repeated in every copy (symmetric) or blocks in some copies, with or
+    without a constant; exponents past 255 widen the fields to 16 bits."""
+    top = draw(st.sampled_from([3, 300]))
+    block = st.dictionaries(st.tuples(st.integers(0, top),
+                                      st.integers(0, top)),
+                            gauss, min_size=1, max_size=3)
+    if draw(st.booleans()):
+        parts = dict.fromkeys(range(copies), draw(block))
+    else:
+        parts = draw(st.dictionaries(st.integers(0, copies - 1), block,
+                                     max_size=copies))
+    terms = {}
+    for i, part in parts.items():
+        for (x, y), c in part.items():
+            e = [0] * (2 * copies)
+            e[2 * i], e[2 * i + 1] = x, y
+            terms[tuple(e)] = c
+    if draw(st.booleans()):
+        terms[(0,) * (2 * copies)] = draw(gauss)
+    return SparsePoly(2 * copies, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_body_path_matches_the_walk(data):
+    copies = data.draw(st.integers(2, 4), label="copies")
+    order = data.draw(st.sampled_from([0, 1, 8]), label="order")
+    # one coefficient each is a plain product; more make series factors
+    fs = tuple(data.draw(st.lists(one_body(copies), min_size=1, max_size=3),
+                         label="fs"))
+    gs = tuple(data.draw(st.lists(one_body(copies), min_size=1, max_size=3),
+                         label="gs"))
+    s = StarProduct.standard(copies)
+    got = s._bidiff(order, fs, gs)
+    want = s._walk(order, fs, gs)
+    assert [p._form for p in got] == [p._form for p in want]
+
+
+def test_symmetric_product_runs_one_one_pair_walk(monkeypatch):
+    ps = ProductSpace(10)
+    f = polarized_sum(ps, 2, 3, ExactComplex(Fraction(1, 2), 2))
+    g = polarized_sum(ps, 3, 2, ExactComplex(-2, Fraction(1, 3)))
+    want = HbarSeries(ps.star._walk(8, (f,), (g,)))
+    assert ps.star._copy is None  # nothing is looked for before first use
+    walks = count_walks(monkeypatch)
+    assert ps.star.star(f, g) == want
+    assert walks == [2]
+    # fiber power sums star-commute copy by copy: no walk at all
+    del walks[:]
+    p3, p5 = multi.power_sum(ps, 3), multi.power_sum(ps, 5)
+    assert ps.star.star(p3, p5) == HbarSeries.from_poly(p3 * p5, 8)
+    assert multi.hitchin_commutation_check(ps, 3, 5).passed
+    # at order 0 no copy can reach depth 1
+    assert ps.star.star(f, g, 0) == HbarSeries([f * g])
+    assert walks == []
+
+
+def test_other_factors_take_the_walk(monkeypatch):
+    ps = ProductSpace(3)
+    z, lam = ps.zeta, ps.lam
+    one = z(1) ** 2 * lam(1) + lam(3) ** 2 - 2
+    two_body = one + z(1) * lam(2)
+    gauss4 = StarProduct.from_form(
+        cli._load_form(fixture_path("form_gauss4.json")))
+    single = StarProduct.standard(1)
+    zero = SparsePoly.zero(6)
+    cases = [
+        (ps.star, HbarSeries.from_poly(two_body, 4),
+         HbarSeries.from_poly(one, 4)),
+        (gauss4, HbarSeries.from_poly(random_poly(4, 3, 5), 4),
+         HbarSeries.from_poly(random_poly(4, 3, 6), 4)),
+        (single, HbarSeries.from_poly(random_poly(2, 3, 7), 4),
+         HbarSeries.from_poly(random_poly(2, 3, 8), 4)),
+        # a series whose h^1 coefficient has a term in copies 1 and 2
+        (ps.star, HbarSeries([one, z(1) * lam(2), zero, zero, zero]),
+         HbarSeries([one, lam(1), zero, zero, zero])),
+    ]
+    for s, F, G in cases:
+        want = s._walk(4, F.coeffs, G.coeffs)
+        walks = count_walks(monkeypatch)
+        assert s.star_series(F, G) == HbarSeries(want)
+        assert walks == [s.dim]
+    assert single._copy is False and gauss4._copy is False
+
+
+def test_one_body_fields_past_64_bits_are_refused_as_by_the_walk():
+    ps = ProductSpace(2)
+    big = 2 ** 63
+    f = SparsePoly(4, {(big, 1, 0, 0): 1, (0, 0, 0, 1): 2})
+    g = SparsePoly(4, {(0, 0, big, 0): 1})
+    for fs, gs in (((f,), (g,)), ((f, f), (g,))):
+        with pytest.raises(InputError) as caught:
+            ps.star._bidiff(2, fs, gs)
+        assert str(caught.value) == (
+            "exponents need 65-bit fields; the kernel packs at most 64")
+        with pytest.raises(InputError) as walked:
+            ps.star._walk(2, fs, gs)
+        assert str(walked.value) == str(caught.value)
 
 
 def test_star_series_of_zero_series_is_zero():

@@ -510,6 +510,19 @@ def test_one_body_path_matches_the_walk(data):
     assert [p._form for p in got] == [p._form for p in want]
 
 
+def test_copy_parts_repeated_across_h_powers_match_the_walk():
+    # equal numerators at several h-powers, over denominators 1 and 3: a
+    # one-pair product reused by its copy parts alone would be truncated
+    # at another order or read over another denominator
+    ps = ProductSpace(3)
+    u = polarized_sum(ps, 4, 4)
+    third = u.scale(Fraction(1, 3))
+    fs, gs = (u, third, u), (u, third)
+    got = ps.star._bidiff(8, fs, gs)
+    want = ps.star._walk(8, fs, gs)
+    assert [p._form for p in got] == [p._form for p in want]
+
+
 def test_symmetric_product_runs_one_one_pair_walk(monkeypatch):
     ps = ProductSpace(10)
     f = polarized_sum(ps, 2, 3, ExactComplex(Fraction(1, 2), 2))
@@ -549,11 +562,12 @@ def test_other_factors_take_the_walk(monkeypatch):
         (ps.star, HbarSeries([one, z(1) * lam(2), zero, zero, zero]),
          HbarSeries([one, lam(1), zero, zero, zero])),
     ]
-    for s, F, G in cases:
-        want = s._walk(4, F.coeffs, G.coeffs)
-        walks = count_walks(monkeypatch)
+    wants = [s._walk(4, F.coeffs, G.coeffs) for s, F, G in cases]
+    walks = count_walks(monkeypatch)
+    for (s, F, G), want in zip(cases, wants):
         assert s.star_series(F, G) == HbarSeries(want)
         assert walks == [s.dim]
+        del walks[:]
     assert single._copy is False and gauss4._copy is False
 
 

@@ -773,6 +773,29 @@ PINNED_RUNS = {
         0,
         "268491d5a0d9fd957c4039ad5f975a5532b48e78ee2d6e9ea51abd74a348301c",
         "433baf8c953d6ac6a483c0838a8790a00d80cc1075ca7242df021fe6b044a105"),
+    # orbits of repeated nonzero blocks beside zero blocks, and a term
+    # with no zero block, fixed by every relabelling
+    "symmetrize-9-repeated-blocks": (
+        ("symmetrize", "--n", "9",
+         "2/3*q1*p1*q2*p2*q3*p3*q4 - i*p1^2*p2^2*p5^2*p6^2 + (1/2 + 3*i)*"
+         + "*".join(f"q{i}^3" for i in range(1, 10))), 0,
+        "2161269041c48e9cebd01d2d7a3b382580e4370dd99bbca9866a136edb383f7c",
+        "9ba91993e6a2c8d27e4bb85f977e11840fad606ebcd1014f23e54e5b518337ef"),
+    # one-body sums on 17 copies, with a mixed coefficient
+    "product-star-17": (
+        ("product-star", "--n", "17", "--order", "4", power_sum(17, 2, 3),
+         "(1/3 - i)*(" + " + ".join(f"q{i}^3*p{i}^2 + q{i}*p{i}"
+                                    for i in range(1, 18)) + ")"), 0,
+        "45ae24b991dc647b086b08e9bd118049949b144a85c2b290a2ec142d422585a7",
+        "4ca52dc87e448dc5bcc1a1465767e301ec422449fe5a79cf3372fdf46a7c65d6"),
+    # printed exponents of 300 and 256, in 16-bit fields, built by
+    # products ("^" stops at degree 64)
+    "symmetrize-wide-fields": (
+        ("symmetrize", "--n", "3",
+         "*".join(["q1^60"] * 5) + "*p2 - 1/2*i*" + "*".join(["p3^64"] * 4)
+         + "*q1 + 3"), 0,
+        "f1a3a8b480aa7754d9501e1718f87f81945ee85a160c46bf8996098b6929be4d",
+        "4ada16c2db701f0485915668311771515c99efe052295528ec8191685754cefc"),
 }
 
 

@@ -274,3 +274,122 @@ def test_trailing_whitespace_changes_no_outcome():
             assert _outcome(text) == _outcome(text.rstrip()), repr(text)
     assert _outcome("z1 +\t ") == _outcome("z1 +") == (
         "ParseError: syntax error at column 5: expected an operand")
+
+
+_LITERALS = ["0", "1", "2", "3", "7", "12", "255", "1000", "65537", "i"]
+_OPERANDS = _LITERALS + ["h", "z1", "z2", "z3", "z4", "q1", "p1", "q2", "p2"]
+_OPERATORS = ["+", "-", "*", "/", " + ", " - ", "*"]
+_POWERS = ["^0", "^1", "^2", "^3", "^5", "^13", "^70"]
+_STRAY = _OPERANDS + _OPERATORS + ["(", ")", "^", " ", "z0", "p3", "2.5"]
+
+
+def _long_soup(count: int, seed: int) -> list:
+    """Seeded texts of up to 60 characters: operands and operators in
+    turn, with powers, parentheses and unary signs, a literal after each
+    "/", and one token in twenty drawn from the whole alphabet."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        limit = rng.randrange(1, 61)
+        text, depth, operand = "", 0, True
+        while True:
+            r = rng.random()
+            if r < 0.05:
+                tok = rng.choice(_STRAY)
+            elif operand:
+                tok = ("-" if r < 0.15 else "(" if r < 0.35 else rng.choice(
+                    _LITERALS if text.endswith("/") else _OPERANDS))
+            else:
+                tok = (rng.choice(_POWERS) if r < 0.25
+                       else ")" if r < 0.45 and depth
+                       else rng.choice(_OPERATORS))
+            if len(text) + len(tok) + depth + (tok == "(") > limit:
+                break
+            text += tok
+            depth = max(depth + (tok == "(") - (tok == ")"), 0)
+            if tok.strip():
+                operand = tok.strip() in ("+", "-", "*", "/", "(")
+        out.append(text + ")" * depth)
+    return out
+
+
+def test_long_token_soup_results_are_pinned():
+    # about one text in five parses, most of those with a power, a
+    # parenthesized group or a division
+    digest = hashlib.sha256()
+    for text in _long_soup(20_000, seed=29):
+        try:
+            out = series_to_str(parse_series(text, 4, 3))
+        except ParseError as exc:
+            out = f"ParseError: {exc}"
+        digest.update(out.encode() + b"\0")
+    assert digest.hexdigest() == (
+        "ef281bfe21c253ea14016cd528d6441244508bdc799b45ffee053fbeaaf84443")
+
+
+# four 1000-digit literals multiply to about 13,300 bits
+LONG_PRODUCT = "*".join(["9" * 1000] * 4)
+
+# constant texts with their outcome at arity 3: zero is no term and has no
+# coefficient bits, a nonzero constant's bits count its denominator too
+SCALAR_OUTCOMES = [
+    ("7", "7"),
+    ("-3/4 + 2*i", "(-3/4+2*i)"),
+    ("0^20000", "0"),
+    ("(1-1)^20000", "0"),
+    ("(0*z1)^65", "0"),
+    ("(z1-z1)^5", "0"),
+    ("--0", "0"),
+    ("0/5", "0"),
+    ("0*z1", "0"),
+    ("z1^0", "1"),
+    ("0^0", "1"),
+    ("(z1+h)^0", "1"),
+    ("(2*z1)^0", "1"),
+    ("i^4", "1"),
+    ("i^2", "-1"),
+    ("2^64", "18446744073709551616"),
+    ("(1/2)^3", "1/8"),
+    ("(2*i)/(1+i)", "(1+i)"),
+    ("1^10000", "1"),
+    ("1^10001", "ParseError: syntax error at column 3: coefficients of "
+     "about 10001 bits are over the limit of 10000"),
+    ("1^20000", "ParseError: syntax error at column 3: coefficients of "
+     "about 20000 bits are over the limit of 10000"),
+    ("2^5001", "ParseError: syntax error at column 3: coefficients of "
+     "about 10002 bits are over the limit of 10000"),
+    ("(1/3)^6000", "ParseError: syntax error at column 7: coefficients of "
+     "about 12000 bits are over the limit of 10000"),
+    ("i^10001", "ParseError: syntax error at column 3: coefficients of "
+     "about 10001 bits are over the limit of 10000"),
+    ("1/0", "ParseError: syntax error at column 2: division by zero"),
+    ("z1/0", "ParseError: syntax error at column 3: division by zero"),
+    ("1/(z1-z1)", "ParseError: syntax error at column 2: division by zero"),
+    ("(z1+1)/z1", "ParseError: syntax error at column 7: division is only "
+     "defined by nonzero constants"),
+    ("z1^65", "ParseError: syntax error at column 4: degree 65 is over "
+     "the limit of 64"),
+    ("h^70", "ParseError: syntax error at column 3: degree 70 is over "
+     "the limit of 64"),
+    pytest.param(f"({LONG_PRODUCT})^1", "ParseError: syntax error at column "
+                 "4007: coefficients of about 13288 bits are over the limit "
+                 "of 10000", id="long-product^1"),
+]
+
+
+@pytest.mark.parametrize("text, outcome", SCALAR_OUTCOMES)
+def test_scalar_outcomes(text, outcome):
+    assert _outcome(text) == outcome
+
+
+def test_scalar_forms():
+    # a nonzero constant is one term of degree 0; zero is no term
+    for text in ("7", "-3/4 + 2*i", LONG_PRODUCT, "i^3/5"):
+        f = parse_poly(text, 4)
+        assert (len(f), f.degree(), f.is_constant()) == (1, 0, True)
+        assert f == SparsePoly.const(4, f.constant_value())
+    for text in ("0", "0^20000", "(0*z1)^65", "1 - 1", "0/7"):
+        f = parse_poly(text, 4)
+        assert (len(f), f.degree(), f.is_zero()) == (0, -1, True)
+        assert f == SparsePoly.zero(4)
+    assert parse_poly("z1^0", 4) == SparsePoly.const(4, 1)

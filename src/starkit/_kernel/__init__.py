@@ -28,6 +28,7 @@ the exponent and keeps den.  The denominators are the caller's to track.
 ``lift`` and ``lower`` convert between the packed form and a map from
 exponent tuples to normalized Gaussian rationals (rn, rd, jn, jd), at
 the edges only, such as the public constructor and ``terms()``.
+``grlex`` sorts packed terms for the printer.
 ``qnorm``, ``cadd``, ``csub`` and ``cmul`` are ``ExactComplex``'s
 arithmetic on those tuples.
 
@@ -131,6 +132,26 @@ def exponents(p, arity, width):
     size = arity * width // 8
     unpack = _struct(arity, width).unpack
     return [unpack(key.to_bytes(size, "little")) for key in p]
+
+
+def grlex(p, arity, width):
+    """The terms of p in descending graded lexicographic order, as
+    (degree, order bytes, exponent tuple, numerators).  The order bytes
+    are the key's little-endian bytes with each field's bytes reversed,
+    by swapping halves of 16-bit blocks, then of 32-bit blocks, up to
+    the field width: each field big-endian, in variable order, so they
+    compare as the exponent tuple does.  At 8 bits they are the key's."""
+    size = arity * width // 8
+    unpack = _struct(arity, width).unpack
+    order, half = list(p), 8
+    while half < width:
+        low = b"\xff" * (half // 8) + bytes(half // 8)
+        mask = int.from_bytes(low * (size * 4 // half), "little")
+        order = [(k & mask) << half | k >> half & mask for k in order]
+        half *= 2
+    exps = [unpack(key.to_bytes(size, "little")) for key in p]
+    order = [k.to_bytes(size, "little") for k in order]
+    return sorted(zip(map(sum, exps), order, exps, p.values()), reverse=True)
 
 
 def lower(p, den, arity, width):

@@ -21,8 +21,8 @@ it once; importing the module builds nothing, nor imports argparse.
 from __future__ import annotations
 
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from math import factorial
 
 from . import atlas, corpus, multi, transport
@@ -69,6 +69,27 @@ def _product_names(copies: int):
     return tuple(f"{c}{i}" for i in range(1, copies + 1) for c in "qp")
 
 
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for the
+    str, int, bool and None values, lists and str-keyed dicts of a
+    report; with indent set, json's own encoder runs in pure Python."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        ends, items = "{}", [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                             for k, v in sorted(value.items())]
+    else:
+        ends, items = "[]", [_json(v, inner) for v in value]
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def _emit(args, lines: list, outputs: dict | None = None,
           report: Report | None = None, **inputs) -> int:
     """Print the run report, as text or as JSON with --json, and return
@@ -88,7 +109,7 @@ def _emit(args, lines: list, outputs: dict | None = None,
                      "pass" if report.passed else "fail"]
     if args.json:
         payload["corpus_version"] = corpus.CORPUS_VERSION
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json(payload))
     else:
         for line in lines:
             print(line)

@@ -12,9 +12,11 @@ are multiplied copy by copy (``starkit.moyal``).
 
 from __future__ import annotations
 
-from itertools import permutations as _all_images
+from itertools import combinations, permutations as _all_images
 from math import comb, lcm
+from operator import lshift
 
+from . import _kernel as K
 from .errors import ArityError, Immutable, InputError
 from .moyal import StarProduct
 from .poisson import SymplecticForm
@@ -167,13 +169,13 @@ def _orbit_size(blocks) -> int:
 
 
 def _blocks(f: SparsePoly):
-    """Each term's (zeta_i, lambda_i) blocks, by copy, as the bytes of its
-    packed key, with the term's numerators."""
+    """Each term's (zeta_i, lambda_i) blocks, by copy, as the ints of two
+    fields of its packed key, with the term's numerators."""
     width, _, p = f._form
-    size, step = f.arity * width // 8, width // 4
+    step = 2 * width
+    block, shifts = (1 << step) - 1, range(0, f.arity * width, step)
     for key, c in p.items():
-        data = key.to_bytes(size, "little")
-        yield [data[k:k + step] for k in range(0, size, step)], c
+        yield [key >> s & block for s in shifts], c
 
 
 def orbit_images(f: SparsePoly) -> int:
@@ -190,20 +192,28 @@ def symmetrize(f: SparsePoly) -> SparsePoly:
     n!/(m_1! m_2! ...) images, so this equals (1/n!) sum over sigma of
     sigma(f) without walking the n! relabellings.  Every share sits over
     den times the lcm of the orbit sizes.
+
+    The images are placed by position: the term's nonzero blocks go to
+    each combination of copies, in each distinct arrangement of those
+    blocks alone, and the zero blocks fill the other copies.
     """
     if f.arity % 2 != 0:
         raise ArityError("symmetrize needs an even arity (pairs of variables)")
     orbits = [(blocks, _orbit_size(blocks), c) for blocks, c in _blocks(f)]
     scale = lcm(*(size for _, size, _ in orbits))
+    width, den, _ = f._form
+    copies = range(0, f.arity * width, 2 * width)  # the shift of each copy
     acc: dict = {}
     get = acc.get
     for blocks, size, (a, b) in orbits:
         a, b = a * (scale // size), b * (scale // size)
-        for image in _arrangements(blocks):
-            e = int.from_bytes(b"".join(image), "little")
-            old = get(e)
-            acc[e] = (a, b) if old is None else (old[0] + a, old[1] + b)
-    width, den, _ = f._form
+        nonzero = [x for x in blocks if x]
+        arrangements = [tuple(x) for x in _arrangements(nonzero)]
+        for where in combinations(copies, len(nonzero)):
+            for image in arrangements:
+                e = sum(map(lshift, image, where))
+                old = get(e)
+                acc[e] = (a, b) if old is None else (old[0] + a, old[1] + b)
     return SparsePoly._make(f.arity, width, den * scale, acc)
 
 
@@ -242,9 +252,10 @@ def power_sum(ps: ProductSpace, k: int) -> SparsePoly:
     """p_k = sum over copies of lambda_i^k."""
     if k < 1:
         raise InputError("power sums start at k = 1")
-    return SparsePoly(ps.dim, {
-        tuple(k * (j == 2 * i + 1) for j in range(ps.dim)): 1
-        for i in range(ps.copies)})
+    # one key per copy: k in the lambda_i field, of the narrowest width
+    width = K.field_width(k.bit_length(), True)
+    return SparsePoly._make(ps.dim, width, 1, {
+        k << width * (2 * i + 1): (1, 0) for i in range(ps.copies)}, False)
 
 
 def hitchin_commutation_check(ps: ProductSpace, j: int, k: int,

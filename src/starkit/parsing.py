@@ -17,20 +17,24 @@ base/fiber pair "z<2k-1>"/"z<2k>".  The symbol "h" is the deformation
 parameter and is only accepted where a series is expected.  Exponents are
 nonnegative integer literals.
 
-The parser's values are packed polynomials (``SparsePoly``) in arity + 1
-variables, the last standing for h, combined by their own sums, products
-and powers; ``parse_poly`` and ``parse_series`` split off h's field.
+The parser folds constant subexpressions to exact scalars and reads a
+variable power as its one packed key; a ``SparsePoly`` in arity + 1
+variables, the last standing for h, is built only where a variable
+enters.  ``parse_poly`` and ``parse_series`` split off h's field.
 
 The printer emits one canonical form: terms in descending graded
 lexicographic order, series coefficients in ascending powers of h, and
-``parse(print(x)) == x`` exactly.  Within one call it formats each
-variable power, and reduces each distinct coefficient, once.
+``parse(print(x)) == x`` exactly.  It reads terms from their packed
+keys, sorted on bytes in that order (``_kernel.grlex``), and reads only
+a term's nonzero fields.  Within one call it formats each variable
+power, and reduces each distinct coefficient, once.
 """
 
 from __future__ import annotations
 
 import re as _re
 from functools import reduce
+from itertools import compress
 from math import comb
 from operator import or_
 
@@ -95,8 +99,8 @@ def _tokenize(text: str):
 
 
 def _check_terms(bound: int, factors, power: int, col: int) -> None:
-    """Refuse the product of the factors (polynomials), raised to power,
-    when it could have over MAX_TERMS terms.
+    """Refuse the product of the factors (polynomials or scalars), raised
+    to power, when it could have over MAX_TERMS terms.
 
     bound counts the products of terms.  The result, of degree d at most
     power times the sum of the factors' degrees, in the v variables the
@@ -105,19 +109,37 @@ def _check_terms(bound: int, factors, power: int, col: int) -> None:
     """
     if bound <= MAX_TERMS:
         return
-    used = {j for t in factors
+    polys = [t for t in factors if isinstance(t, SparsePoly)]
+    used = {j for t in polys
             for j, mask in enumerate(K.fields(t.arity, t._form[0]))
             if reduce(or_, t._form[2], 0) & mask}
-    degree = power * sum(t.degree() for t in factors)
+    degree = power * sum(t.degree() for t in polys)
     bound = min(bound, comb(len(used) + degree, len(used)))
     if bound > MAX_TERMS:
         raise ParseError(f"up to {bound} terms is over the limit of "
                          f"{MAX_TERMS}", col)
 
 
+def _size(value) -> int:
+    """The number of terms of a polynomial or scalar."""
+    if isinstance(value, SparsePoly):
+        return len(value)
+    return 0 if value.is_zero() else 1
+
+
+def _bits(value) -> int:
+    """The largest bit length of the reduced parts of the coefficients."""
+    if isinstance(value, SparsePoly):
+        return max((x.bit_length() for c in value._items().values()
+                    for x in c), default=0)
+    return 0 if value.is_zero() else max(map(int.bit_length,
+                                             value.to_kernel()))
+
+
 class _Parser:
     """Recursive-descent parser producing a polynomial in arity+1
-    variables, the last variable standing for h."""
+    variables, the last variable standing for h; its values below parse()
+    are ``ExactComplex`` scalars and ``SparsePoly`` polynomials."""
 
     def __init__(self, text: str, arity: int, allow_h: bool):
         self.tokens = _tokenize(text)
@@ -136,38 +158,51 @@ class _Parser:
         return tok
 
     def parse(self) -> SparsePoly:
-        value = self.expr()
+        value = self._poly(self.expr())
         kind, text, col = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", col)
         return value
 
-    def expr(self) -> SparsePoly:
+    def _poly(self, value) -> SparsePoly:
+        """A scalar as a constant polynomial; a polynomial as it is."""
+        if isinstance(value, SparsePoly):
+            return value
+        return SparsePoly.const(self.vars, value)
+
+    def expr(self):
         value = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, _ = self.take()
             rhs = self.term()
+            if isinstance(value, SparsePoly) or isinstance(rhs, SparsePoly):
+                value, rhs = self._poly(value), self._poly(rhs)
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self) -> SparsePoly:
+    def term(self):
         value = self.unary()
         while self.peek()[0] in ("*", "/"):
             op, _, col = self.take()
             rhs = self.unary()
-            if op == "*":
-                _check_terms(len(value) * len(rhs), (value, rhs), 1, col)
-                value = value * rhs
-            else:
-                if not rhs.is_constant():
-                    raise ParseError(
-                        "division is only defined by nonzero constants", col)
+            if op == "/":
+                if isinstance(rhs, SparsePoly):
+                    if not rhs.is_constant():
+                        raise ParseError("division is only defined by "
+                                         "nonzero constants", col)
+                    rhs = rhs.constant_value()
                 if rhs.is_zero():
                     raise ParseError("division by zero", col)
-                value = value.scale(1 / rhs.constant_value())
+                rhs = 1 / rhs
+            else:
+                _check_terms(_size(value) * _size(rhs), (value, rhs), 1, col)
+            if isinstance(value, SparsePoly) or not isinstance(rhs, SparsePoly):
+                value = value * rhs
+            else:  # a scalar times a polynomial scales it
+                value = rhs * value
         return value
 
-    def unary(self) -> SparsePoly:
+    def unary(self):
         sign = 1
         while self.peek()[0] in ("-", "+"):
             op, _, _ = self.take()
@@ -176,47 +211,57 @@ class _Parser:
         value = self.power()
         return -value if sign < 0 else value
 
-    def power(self) -> SparsePoly:
+    def power(self):
         value = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            kind, text, col = self.peek()
-            if kind == "-":
-                raise ParseError("exponents must be nonnegative integers", col)
-            if kind != "int":
-                raise ParseError("exponent must be an integer literal", col)
-            self.take()
-            k = int(text)
-            degree = value.degree() * k
-            if degree > MAX_DEGREE:
-                raise ParseError(f"degree {degree} is over the limit of "
-                                 f"{MAX_DEGREE}", col)
-            # the bits of the coefficients' reduced parts
-            bits = k * max((x.bit_length() for c in value._items().values()
-                            for x in c), default=0)
-            if bits > MAX_COEFF_BITS:
-                raise ParseError(f"coefficients of about {bits} bits are "
-                                 f"over the limit of {MAX_COEFF_BITS}", col)
-            # a k-th power's terms are products of k of the t base terms,
-            # a multiset: at most C(t + k - 1, k) of them
-            _check_terms(comb(max(len(value) + k - 1, 0), k), (value,), k,
-                         col)
-            value = value ** k
-        return value
+        if self.peek()[0] != "^":
+            return self._monomial(value, 1) if type(value) is int else value
+        self.take()
+        kind, text, col = self.peek()
+        if kind == "-":
+            raise ParseError("exponents must be nonnegative integers", col)
+        if kind != "int":
+            raise ParseError("exponent must be an integer literal", col)
+        self.take()
+        k = int(text)
+        # a scalar's degree is at most 0
+        degree = k * (1 if type(value) is int else value.degree()
+                      if isinstance(value, SparsePoly) else 0)
+        if degree > MAX_DEGREE:
+            raise ParseError(f"degree {degree} is over the limit of "
+                             f"{MAX_DEGREE}", col)
+        if type(value) is int:
+            return self._monomial(value, k)
+        bits = k * _bits(value)
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(f"coefficients of about {bits} bits are "
+                             f"over the limit of {MAX_COEFF_BITS}", col)
+        # a k-th power's terms are products of k of the t base terms, a
+        # multiset: at most C(t + k - 1, k) of them
+        _check_terms(comb(max(_size(value) + k - 1, 0), k), (value,), k, col)
+        return value ** k
 
-    def atom(self) -> SparsePoly:
+    def _monomial(self, index: int, k: int):
+        """z_index^k, k <= MAX_DEGREE, as its one key in 8-bit fields."""
+        if k == 0:
+            return ExactComplex(1)
+        return SparsePoly._make(self.vars, 8, 1, {k << 8 * (index - 1): (1, 0)},
+                                False)
+
+    def atom(self):
+        """A scalar, a parenthesized value, or a variable's 1-based index
+        (an int), which power() makes a monomial."""
         kind, text, col = self.take()
         if kind == "int":
-            return SparsePoly.const(self.vars, int(text))
+            return ExactComplex(int(text))
         if kind == "i":
-            return SparsePoly.const(self.vars, ExactComplex(0, 1))
+            return ExactComplex(0, 1)
         if kind == "h":
             if not self.allow_h:
                 raise ParseError(
                     "'h' is only allowed where a series is expected", col)
-            return SparsePoly.variable(self.vars, self.vars)
+            return self.vars
         if kind == "name":
-            return SparsePoly.variable(self.vars, self._var_index(text, col))
+            return self._var_index(text, col)
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -325,23 +370,23 @@ def _join(pieces) -> str:
 def _pieces(p: SparsePoly, names, powers: dict, prefixes: dict) -> list:
     """(sign, body) per term, in descending graded lexicographic order.
 
-    powers maps (variable, exponent) to its text and prefixes maps
-    (a, b, den, has monomial) to _coefficient's result; both are filled
-    as pieces are first met, so a caller reduces and formats each once.
+    Only a term's nonzero fields are read.  powers maps (variable,
+    exponent) to its text and prefixes maps (a, b, den, has monomial) to
+    _coefficient's result; both are filled as pieces are first met, so a
+    caller reduces and formats each once.
     """
     width, den, terms = p._form
-    rows = K.exponents(terms, p.arity, width)
+    variables = range(p.arity)
     out = []
-    for _, exps, (a, b) in sorted(zip(map(sum, rows), rows, terms.values()),
-                                  reverse=True):
+    for _, _, exps, (a, b) in K.grlex(terms, p.arity, width):
         parts = []
-        for j, e in enumerate(exps):
-            if e:
-                text = powers.get((j, e))
-                if text is None:
-                    text = powers[j, e] = (names[j] if e == 1
-                                           else f"{names[j]}^{e}")
-                parts.append(text)
+        for j in compress(variables, exps):
+            e = exps[j]
+            text = powers.get((j, e))
+            if text is None:
+                text = powers[j, e] = (names[j] if e == 1
+                                       else f"{names[j]}^{e}")
+            parts.append(text)
         mono = "*".join(parts)
         key = (a, b, den, bool(parts))
         piece = prefixes.get(key)

@@ -186,3 +186,33 @@ def assert_canonical(p):
         rn, rd, jn, jd = c.to_kernel()
         assert (rn or jn) and rd > 0 and jd > 0
         assert gcd(rn, rd) == 1 and gcd(jn, jd) == 1
+
+
+def ref_pieces(p, names, powers: dict, prefixes: dict) -> list:
+    """The printer's (sign, body) per term as it was before it sorted on
+    packed bytes: every key unpacked to its exponent tuple, the tuples
+    sorted by (degree, tuple), and every field of a term scanned."""
+    from starkit import _kernel as K
+    from starkit.parsing import _coefficient
+
+    width, den, terms = p._form
+    rows = K.exponents(terms, p.arity, width)
+    out = []
+    for _, exps, (a, b) in sorted(zip(map(sum, rows), rows, terms.values()),
+                                  reverse=True):
+        parts = []
+        for j, e in enumerate(exps):
+            if e:
+                text = powers.get((j, e))
+                if text is None:
+                    text = powers[j, e] = (names[j] if e == 1
+                                           else f"{names[j]}^{e}")
+                parts.append(text)
+        mono = "*".join(parts)
+        key = (a, b, den, bool(parts))
+        piece = prefixes.get(key)
+        if piece is None:
+            piece = prefixes[key] = _coefficient(
+                K.qnorm(a, den) + K.qnorm(b, den), key[3])
+        out.append((piece[0], piece[1] + mono))
+    return out

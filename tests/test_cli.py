@@ -1103,3 +1103,21 @@ def test_console_script_is_installed():
         out = _run_entry_point([script], "star", "--order", "3", "z1", "z2")
         assert (out.returncode, out.stdout) == (0, "z1*z2 - 1/2*i*h\n"), \
             out.stderr
+
+
+# text with escapes, control characters and non-ASCII letters
+JSON_TEXT = st.text(st.sampled_from(list('az"\\/\n\t\x00\x1f\x7fé€\U0001d11e ')),
+                    max_size=8) | st.text(max_size=6)
+JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | JSON_TEXT
+    | st.integers(-10 ** 30, 10 ** 30) | st.integers(-3, 3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json(payload) == json.dumps(payload, sort_keys=True,
+                                            indent=2)

@@ -1,9 +1,12 @@
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import assert_canonical
 
 from starkit import multi
 from starkit.corpus import random_permutations, random_poly, random_poly_pairs
@@ -286,3 +289,46 @@ def test_hitchin_reports_are_pinned(delta, j, k):
              "detail": ""},
             {"name": f"star commutator p{j},p{k} vanishes", "passed": True,
              "detail": ""}]}
+
+
+# (zeta, lambda) exponents of one copy; a term draws its blocks from a
+# few, so nonzero blocks repeat, and 300 needs 16-bit fields
+_COPY_BLOCKS = [(0, 0), (1, 0), (0, 2), (3, 1), (300, 1)]
+
+
+@st.composite
+def block_terms(draw):
+    """A polynomial on n <= 5 copies whose terms have repeated nonzero
+    blocks beside zero blocks, no zero block, or only zero blocks."""
+    n = draw(st.integers(1, 5))
+    kind = st.sampled_from(["mixed", "no zero block", "all zero"])
+    terms = {}
+    for shape in draw(st.lists(kind, min_size=1, max_size=4)):
+        pool = {"mixed": _COPY_BLOCKS, "no zero block": _COPY_BLOCKS[1:],
+                "all zero": _COPY_BLOCKS[:1]}[shape]
+        blocks = draw(st.lists(st.sampled_from(pool), min_size=n,
+                               max_size=n))
+        exps = tuple(e for block in blocks for e in block)
+        terms[exps] = ExactComplex(draw(st.integers(-3, 3)),
+                                   draw(st.integers(-3, 3)))
+    return SparsePoly(2 * n, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_terms())
+def test_symmetrize_places_blocks_by_position(f):
+    got = multi.symmetrize(f)
+    assert got == brute_force_average(f)
+    assert_canonical(got)
+
+
+def test_power_sum_is_the_constructors_polynomial():
+    for copies in range(1, 13):
+        space = SimpleNamespace(copies=copies, dim=2 * copies)
+        for k in (1, 2, 255, 256, 300):
+            got = multi.power_sum(space, k)
+            want = SparsePoly(2 * copies, {
+                tuple(k * (j == 2 * i + 1) for j in range(2 * copies)): 1
+                for i in range(copies)})
+            assert got._form == want._form
+            assert hash(got) == hash(want)

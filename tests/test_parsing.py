@@ -1,17 +1,21 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import poly_to_sympy, symbols_for
+from oracles import poly_to_sympy, ref_pieces, symbols_for
 
 from starkit.corpus import random_poly
 from starkit.errors import ArityError, ParseError
-from starkit.parsing import (MAX_TERMS, parse_expr, parse_poly, parse_scalar,
-                             parse_series, poly_to_str, series_to_str)
+from starkit.parsing import (MAX_TERMS, _join, parse_expr, parse_poly,
+                             parse_scalar, parse_series, poly_to_str,
+                             series_to_str)
 from starkit.poly import SparsePoly
+from starkit.scalars import ExactComplex
+from starkit.series import HbarSeries
 
 
 def test_precedence_and_power():
@@ -393,3 +397,83 @@ def test_scalar_forms():
         assert (len(f), f.degree(), f.is_zero()) == (0, -1, True)
         assert f == SparsePoly.zero(4)
     assert parse_poly("z1^0", 4) == SparsePoly.const(4, 1)
+
+
+_PARTS = st.fractions(min_value=-7, max_value=7, max_denominator=6)
+# real, imaginary, unit and mixed coefficients
+_COEFFS = st.one_of(
+    _PARTS.filter(bool).map(ExactComplex),
+    _PARTS.filter(bool).map(lambda y: ExactComplex(0, y)),
+    st.sampled_from([ExactComplex(1), ExactComplex(-1), ExactComplex(0, 1),
+                     ExactComplex(0, -1)]),
+    st.tuples(_PARTS, _PARTS).map(lambda c: ExactComplex(*c)))
+
+
+@st.composite
+def wide_polys(draw, arity=None):
+    """Polynomials of arity 1 to 40 whose largest exponent needs 8-, 16-,
+    32- or 64-bit fields or more, most fields zero, with constants."""
+    if arity is None:
+        arity = draw(st.integers(1, 40))
+    top = draw(st.sampled_from([3, 255, 256, 65_535, 65_536, 2 ** 32 - 1,
+                                2 ** 32, 2 ** 64 - 1, 2 ** 64]))
+    field = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(1, 3),
+                      st.integers(0, top), st.just(top))
+    exps = st.lists(field, min_size=arity, max_size=arity).map(tuple)
+    terms = draw(st.dictionaries(exps, _COEFFS, max_size=12))
+    if draw(st.booleans()):
+        terms[(0,) * arity] = draw(_COEFFS)
+    return SparsePoly(arity, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys(), st.booleans())
+def test_printer_matches_the_unpacking_oracle(f, product_names):
+    names = (tuple(f"v{j}" for j in range(1, f.arity + 1)) if product_names
+             else None)
+    got = poly_to_str(f, names)
+    names = names or tuple(f"z{j}" for j in range(1, f.arity + 1))
+    want = (_join(ref_pieces(f, names, {}, {})) if not f.is_zero()
+            else "0")
+    assert got == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.lists(wide_polys(n), min_size=1, max_size=4)))
+def test_series_printer_matches_the_unpacking_oracle(coeffs):
+    series = HbarSeries(coeffs)
+    got = series_to_str(series)
+    # the same text with the oracle in the printer's place
+    import starkit.parsing as parsing
+    saved = parsing._pieces
+    parsing._pieces = ref_pieces
+    try:
+        want = series_to_str(series)
+    finally:
+        parsing._pieces = saved
+    assert got == want
+
+
+def test_parsing_folds_constants(monkeypatch):
+    # the coefficient group folds to one scalar and each "^1" is one key;
+    # before folding this text made 13 mmul and 26 _make calls
+    import starkit._kernel as K
+    calls = {"mmul": 0, "make": 0}
+    mmul, make = K.mmul, SparsePoly._make.__func__
+
+    def counted_mmul(*args):
+        calls["mmul"] += 1
+        return mmul(*args)
+
+    def counted_make(cls, *args, **kwargs):
+        calls["make"] += 1
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(K, "mmul", counted_mmul)
+    monkeypatch.setattr(SparsePoly, "_make", classmethod(counted_make))
+    f = parse_poly("(1/3+(-3/2)*i)*p1^1*p2^1*q3^1", 14)
+    assert calls == {"mmul": 3, "make": 7}
+    assert f == SparsePoly(14, {(0, 1, 0, 1, 1) + (0,) * 9:
+                                ExactComplex(Fraction(1, 3),
+                                             Fraction(-3, 2))})

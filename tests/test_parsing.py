@@ -412,15 +412,24 @@ _COEFFS = st.one_of(
 @st.composite
 def wide_polys(draw, arity=None):
     """Polynomials of arity 1 to 40 whose largest exponent needs 8-, 16-,
-    32- or 64-bit fields or more, most fields zero, with constants."""
+    32- or 64-bit fields or more, most fields zero, with constants, and
+    terms of one degree whose fields differ in their high bytes only."""
     if arity is None:
         arity = draw(st.integers(1, 40))
     top = draw(st.sampled_from([3, 255, 256, 65_535, 65_536, 2 ** 32 - 1,
                                 2 ** 32, 2 ** 64 - 1, 2 ** 64]))
+    near = [x for x in (1, 2, 255, 256, 257, 511, 65_535, 65_536, 65_537,
+                        2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1) if x <= top]
     field = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(1, 3),
-                      st.integers(0, top), st.just(top))
+                      st.integers(0, top), st.just(top), st.sampled_from(near))
     exps = st.lists(field, min_size=arity, max_size=arity).map(tuple)
     terms = draw(st.dictionaries(exps, _COEFFS, max_size=12))
+    # the same exponents in other variables: a term of the same degree
+    for e in list(terms):
+        if draw(st.booleans()):
+            terms[e[::-1]] = draw(_COEFFS)
+        if draw(st.booleans()):
+            terms[e[1:] + e[:1]] = draw(_COEFFS)
     if draw(st.booleans()):
         terms[(0,) * arity] = draw(_COEFFS)
     return SparsePoly(arity, terms)

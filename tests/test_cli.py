@@ -669,6 +669,29 @@ PINNED_JSON = {
          "i*p1*q1 + 1/2*q2^2 + h*p3^2 + h^3*(q1 + p2^2)"),
         "3a0c3b09aef14efc50dacb57b3b09531"
         "d7d16e2cc713b8c4fe434780990ad487"),
+    # h-terms in both factors, on the plane and on three copies with
+    # two-body terms, so the products take the walk
+    "star-h-both": (
+        ("star", "--order", "5", "h*z1^2*z2 - 2/3*i*z2 + h^3*z1 + 4",
+         "z1*z2^2 + h*(1/2*z1^3 - i) + h^2*z2^2"),
+        "b2677f0f4b61a89e2043415cb35ce022"
+        "b6135cab0ba83329875caced87956614"),
+    "product-star-h-both": (
+        ("product-star", "--n", "3", "--order", "6",
+         "q1*p2*q3 + h*(p1^2*q2 - 1/3) + h^2*q3*p3^2",
+         "p1*q2^2 - i*q1*p3 + h*q2*p2*q1 + h^4*(2/5 + p3^2)"),
+        "ba5011c64f9387ab4d940ccc073fe7e1"
+        "31a9730c0d6704cfeaf8bd6d5a925879"),
+    "verify-dq-omega0x2": (
+        ("verify-dq", "--form", "omega0x2", "--seed", "5", "--count", "3",
+         "--order", "6"),
+        "8659fd14b234268a1eb0ac62239eaf2f"
+        "5453b6e06346b2a33baac61b3f5303c8"),
+    "verify-transport-base-shear-seed-2": (
+        ("verify-transport", "--map", "tests/fixtures/base_shear_map.json",
+         "--seed", "2", "--order", "5", "--count", "2"),
+        "3ed187666016a35c6739077c58c3fca8"
+        "60353887a1696359299f7a8ee6061d7e"),
 }
 
 
@@ -857,6 +880,103 @@ def test_surface_runs_are_pinned(capsys, monkeypatch, name):
     code, out, _ = run(capsys, "surface-ingest", path, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ingest_json
+
+
+# SHA-256 of patch-check --json at the default --count on every fixture
+# surface, seeds 0-3 and orders 3 and 8
+PINNED_PATCH_SEEDS = {
+    ("square", 0, 3):
+        "9d6b08667e1ddc55a469d6017b4c8b0f776c3449dc70fa7e16adcb9e61ed2849",
+    ("square", 0, 8):
+        "292d302a7de160f228fd307b2371e3d5b5ab0c87fcf210efbc060a5205562c58",
+    ("square", 1, 3):
+        "0dae3729038fb68961a5e207f1265b39dea22085c35e4062abfa54821f1a817d",
+    ("square", 1, 8):
+        "80e7a904ea8f23cd68de1235af50c1a211c700f88c24fa2954b281e2a0fb4ca9",
+    ("square", 2, 3):
+        "16e17fb5311cb3c430d8858b813a8677d35d0ed52bc52a4cc246e7b920a12674",
+    ("square", 2, 8):
+        "4fa45f400ad831814f8d16223a06188ee5ffe91bca0801ba047ee8bad5b85b05",
+    ("square", 3, 3):
+        "d3c478a70a7acc720ecfc2b530169c6f269ea4d2afd200581d2b8495f675e2d7",
+    ("square", 3, 8):
+        "35ec94a36043fd29aaac10fb3a40bef185265d8e2b68308a842da6b97bc2a34e",
+    ("hexagon", 0, 3):
+        "91e69bc880c60454b257387be382453bfc42a89b71483b5a6526531bca5c4f81",
+    ("hexagon", 0, 8):
+        "be83797d708d4696db5d4e1fd0c2295041f5f660aeded2fa7a46db2901dad3b0",
+    ("hexagon", 1, 3):
+        "69654ba5ae315bb054dba554f2e04e39351fa6a01561f511333cea3ec84244c2",
+    ("hexagon", 1, 8):
+        "ba5e82fe6fd94155c080ba32a60e926169fc5053f30d4396043480e9d47b365b",
+    ("hexagon", 2, 3):
+        "2f643147a2402e155935772c5ec78f31c6746ab014930427220e43ed5513a662",
+    ("hexagon", 2, 8):
+        "a686fcae891c5743928dbe107a96d9d1144c13ebd2827c8905072158ada49bdc",
+    ("hexagon", 3, 3):
+        "df02b272bd9406a6b380900a44474d3d94222054c7e96428ceeed41572003748",
+    ("hexagon", 3, 8):
+        "8f60948735a424d2afc4f9f9f7ff19041aceaf9ec1422d8b98807d18440c2b87",
+    ("lshape", 0, 3):
+        "09d3c526f24ed7ea82e675a33a7180c8477b6935ab1bf6fe2b99491757d82d03",
+    ("lshape", 0, 8):
+        "f3d5fb008bd421d29243267636a4dff8a9feceb09e04a78d7f810eaabfb119f9",
+    ("lshape", 1, 3):
+        "c4bbdda58c6e2dc82faf3f92dcc96d6d6fca30e659a95cf5122c06618a9610b8",
+    ("lshape", 1, 8):
+        "8e3de1517db34d39cd361a42667d97c9458946bfd08338a54456d77e95bbda95",
+    ("lshape", 2, 3):
+        "2292d4a319742cd9ed7d9c82a942a22f22a7b127f292132e12e8776d5a4e9a5b",
+    ("lshape", 2, 8):
+        "292b3ecfbb9401192c7aad4eced699199324640d6bd01b9583bd673affbfe172",
+    ("lshape", 3, 3):
+        "0c6f9859b557f15afef1b9c9e8161c2a277961ee19f384663101ca752a5e80c2",
+    ("lshape", 3, 8):
+        "7f1a245da77222221dab716573162a62ff9510e100387e2ce541ebb6aae4821f",
+    ("octagon", 0, 3):
+        "0525ab028c4b90f90cc69253740243aa9b592ab16143ef075858c23189966936",
+    ("octagon", 0, 8):
+        "8fbd4a2028cead12bf1b09c533b5ddf6f16656f0983d04100e8bda37fbdbe321",
+    ("octagon", 1, 3):
+        "c27c87d90784b14e22d4bb3a9effa8314e9dfde8445a0a9a1b1aa5093042e093",
+    ("octagon", 1, 8):
+        "dacd0318e6068871a10dcf2f5dc01f9a9637a346a96940a2f0fa4eef9b0f54ae",
+    ("octagon", 2, 3):
+        "b41204afe3ed621bef9909619821178ae0e5e297afde0394f2f8dabea14265ad",
+    ("octagon", 2, 8):
+        "ee0def06299bf0feeb0fc674bf8bb4176cafda07cd932bb21b6a5f605be45d9c",
+    ("octagon", 3, 3):
+        "a1ad0b72c9c1a5d0e74ef038a1893651838f416ba3ae35ff2aa32e518ed74df8",
+    ("octagon", 3, 8):
+        "649a9f6e479a4f56d9d9dda585701ef15ba84503af4e5bdf2abf30107e1bbb5c",
+    ("decagon", 0, 3):
+        "a3a95748bbbbcca97fe6304edf1d3835c819e18e198a27ce3c8bb401f0a4cb45",
+    ("decagon", 0, 8):
+        "fcaa787101c10be84072ba227e386a9da5366cd293e8c9871f4d64366f731c55",
+    ("decagon", 1, 3):
+        "e7085e9720e6c984cc87135b3805758218a37adb4c3def07597532fd5998822e",
+    ("decagon", 1, 8):
+        "63ae1830cde0491762215ac4386dec61e17ac91d1590965e2826c16ef918dfdc",
+    ("decagon", 2, 3):
+        "a91985cce2b3ebb9742d2d1ee9d723984be126e7dfd76b4e0d0fea57c1729d5f",
+    ("decagon", 2, 8):
+        "cf2dd122374acfc3159348605e315382a9e795e84c8ab70fa560b3a0b3cd30df",
+    ("decagon", 3, 3):
+        "db051dff6c2473cec6399186c1e2f2e7ea91628c8e518a17d8c71c36e64c2a28",
+    ("decagon", 3, 8):
+        "c981a234d8fbf58baad96663911b6cb185fbd16ecf473742d3acfe82ae5fbbf4",
+}
+
+
+@pytest.mark.parametrize("name, seed, order", sorted(PINNED_PATCH_SEEDS))
+def test_patch_check_seeds_are_pinned(capsys, monkeypatch, name, seed, order):
+    monkeypatch.chdir(REPO_ROOT)
+    code, out, _ = run(capsys, "patch-check", "--surface",
+                       f"tests/fixtures/{name}.json", "--seed", str(seed),
+                       "--order", str(order), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        PINNED_PATCH_SEEDS[name, seed, order])
 
 
 # the fixture surfaces with rational edges: every x and y stretched by

@@ -25,9 +25,9 @@ quantization is the Moyal product in those coordinates.
 Known answers are not recomputed.  A translation's inverse negates its
 shift, two translations compose by adding shifts, and a translation's
 symplectic residual is zero, so only a chart map that is not a
-translation multiplies matrices.  The agreement check stars once on an
-identity overlap, where the product in the destination chart would be
-the one in the source chart.
+translation multiplies matrices.  The agreement check stars nothing on
+an identity overlap, where the product in the destination chart would be
+the one in the source chart, pulled back unchanged.
 
 Ingestion scales the edge vectors to integers once, by the lcm of their
 denominators, and tests the polygon in those integers alone; exact complex
@@ -195,10 +195,15 @@ class ChartMap(Immutable):
     def is_identity(self) -> bool:
         return self._translation and all(x.is_zero() for x in self.shift)
 
-    def pull(self, f: SparsePoly) -> SparsePoly:
-        """Compose with the map: f(A v + s); a translation is a Taylor shift."""
+    def pull(self, f):
+        """Compose with the map: f(A v + s); a translation is a Taylor
+        shift, and pulls a series (HbarSeries) whole, h fixed."""
         if f.arity != 2:
             raise ArityError("chart functions have arity 2")
+        if isinstance(f, HbarSeries):
+            return (HbarSeries._of(f.packed._translate(self._shift_k + (
+                (0, 1, 0, 1),), self._rows), f.order) if self._translation
+                else f.map_coeffs(self.pull))
         if self._translation:
             return f._translate(self._shift_k, self._rows)
         return f.affine_subst(self.matrix, self.shift)
@@ -592,23 +597,21 @@ def overlap_agreement_check(surface: TranslationSurface, overlap, f, g,
     data, so a corrupted forward transition shows up as a mismatch instead
     of silently cancelling.
 
-    Every chart carries the same product, so on an identity overlap the
-    second product is the first: an identity inverse leaves the inputs as
-    they are, and an identity recorded transition leaves the product.
+    Every chart carries the same product, so where the given inverse and
+    the recorded transition are both the identity the comparison is the
+    product against itself: it is recorded as passed and nothing is
+    starred.  A translation pulls the product back whole, h fixed.
     """
     ov = surface.find_overlap(overlap)
     forward = transition if transition is not None else ov.transition
-    direct = chart_star(surface, ov.src, f, g, order)
     back = forward.inverse()
-    if back.is_identity():
-        remote = direct
-    else:
-        remote = chart_star(surface, ov.dst, back.pull(f), back.pull(g),
-                            order)
-    if ov.transition.is_identity():
-        returned = remote
-    else:
-        returned = remote.map_coeffs(ov.transition.pull)
     rep = Report("overlap agreement")
-    rep.add_equal(f"{ov.src}->{ov.dst} [{ov.component}]", direct, returned)
+    name = f"{ov.src}->{ov.dst} [{ov.component}]"
+    if back.is_identity() and ov.transition.is_identity():
+        rep.add(name, True)
+        return rep
+    direct = chart_star(surface, ov.src, f, g, order)
+    remote = (direct if back.is_identity() else
+              chart_star(surface, ov.dst, back.pull(f), back.pull(g), order))
+    rep.add_equal(name, direct, ov.transition.pull(remote))
     return rep

@@ -30,6 +30,7 @@ from .errors import InputError, StarkitError, load_json
 from .moyal import StarProduct, verify_star_axioms
 from .parsing import parse_expr, parse_poly, parse_scalar, poly_to_str, series_to_str
 from .poisson import SymplecticForm, bivector_from_form
+from .poly import SparsePoly
 from .reports import Report
 
 _BUILTIN_FORMS = {"omega0": 1, "omega0x2": 2, "omega0x3": 3}
@@ -163,7 +164,10 @@ def cmd_patch_check(args) -> int:
     report.extend(atlas.liouville_pullback_check(surface), prefix="form: ")
     report.extend(atlas.cocycle_check(surface), prefix="cocycle: ")
     for idx, ov in enumerate(surface.overlaps):
-        pairs = corpus.random_poly_pairs(2, args.count, 3, args.seed + idx)
+        # an identity overlap compares a product with itself: no pair drawn
+        pairs = ([(SparsePoly.zero(2),) * 2] * args.count
+                 if ov.transition.is_identity() else
+                 corpus.random_poly_pairs(2, args.count, 3, args.seed + idx))
         for k, (f, g) in enumerate(pairs):
             sub = atlas.overlap_agreement_check(surface, ov, f, g, args.order)
             report.extend(sub, prefix=f"pair {k} ")

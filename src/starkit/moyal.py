@@ -33,23 +33,21 @@ useful, from the one it picked onward.
 
 The walk runs on the polynomials' packed numerators (``starkit._kernel``),
 and one walk serves a whole series product, sum_j h^j f_j times
-sum_k h^k g_k.  One scaling pass puts the f_j over one denominator Df,
-and the g_k over Dg, in fields wide enough for the largest exponent of f
-plus that of g.  A term of h^j has j in an extra bit field above the
-variables' fields, so a product adds h-degrees the way it adds
-exponents; an h^0 term has an empty field, and a plain product f * g is
-the series case with one coefficient each.  The steps share one denominator Ds, twice
-the bivector's own.  A branch carries the product of its steps'
-numerators and the multinomial count k! / prod(m_p!), which picking
-entry p for the m-th time at depth k turns into count * (k + 1) // m,
-an exact division.  So every term the walk adds at depth k sits over
-the one denominator Df Dg Ds^k k!, and depth 0 is the plain product.
-A term of h-degree j at depth k lands on h^(j+k).  Each branch drops
-the derivative terms whose h-degree can no longer fit below the order,
-so a deep branch does not carry them; when the walk has finished, the
-depths are regrouped by h-power, over the denominator of the deepest
-depth that reaches it, what lies past the order is dropped, and each
-coefficient is normalized once.
+sum_k h^k g_k: each factor is its series' packed form (``starkit.series``),
+where h is the last variable, so a product adds h-degrees as it adds
+exponents.  Both are read in fields that hold the largest exponent of f
+plus that of g, over their denominators Df and Dg.  The steps share one
+denominator Ds, twice the bivector's own.  A branch carries the product
+of its steps' numerators and the multinomial count k! / prod(m_p!),
+which picking entry p for the m-th time at depth k turns into
+count * (k + 1) // m, an exact division.  So every term the walk adds at
+depth k sits over the one denominator Df Dg Ds^k k!, and depth 0 is the
+plain product.  A term of h-degree j at depth k lands on h^(j+k).  Each
+branch drops the derivative terms whose h-degree can no longer fit below
+the order, so a deep branch does not carry them; when the walk has
+finished, each depth k is rescaled to the denominator of the deepest and
+shifted by k in h's field into one map, what lies past the order is
+dropped, and the product is normalized once.
 
 On two or more copies of one 2 x 2 block on the pairs (z_2i-1, z_2i),
 as on a product space, distinct copies star-commute: for one-body
@@ -59,10 +57,11 @@ f = sum_i f_i and g = sum_i g_i, each term in at most copy i,
 
 So such factors, as power sums sum_i phi(zeta_i, lambda_i), take the
 plain product once, plus for each copy where one has the base variable
-and the other the fiber the depth >= 1 part of the walk on one pair,
-its keys shifted into the copy.  Equal copy parts are multiplied once
-per call, and a series goes pair of coefficients by pair.  A scan that
-stops at the first term in two copies sends all else to the walk.
+and the other the fiber the one-pair walk of their copy parts less
+their plain product, its keys shifted into the copy; h's field rides
+along in the copy parts.  Equal copy parts are multiplied once per
+call.  A scan that stops at the first term in two copies sends all else
+to the walk.
 """
 
 from __future__ import annotations
@@ -78,97 +77,60 @@ from .poisson import PoissonBivector, SymplecticForm, bivector_from_form
 from .poly import SparsePoly
 from .reports import Report
 from .scalars import ExactComplex
-from .series import HbarSeries
+from .series import HbarSeries, _cut
 
 
-def _support(coeffs, order: int) -> tuple:
-    """The h-degrees j <= order of the nonzero coeffs[j], the largest total
-    degree among those coefficients, and the largest of their exponents
-    and of those j."""
-    js, deg, top = [], -1, 0
-    for j, p in enumerate(coeffs[:order + 1]):
-        if p:
-            js.append(j)
-            exps = K.exponents(p._form[2], p.arity, p._form[0])
-            deg = max(deg, *map(sum, exps))
-            top = max(top, j, *map(max, exps))
-    return js, deg, top
+def _support(p: SparsePoly, dim: int) -> tuple:
+    """For a series polynomial p in dim variables and h: the largest total
+    degree of a term in the dim variables (-1 for p = 0), and the lowest
+    and highest h-degrees, read off its least and greatest keys."""
+    w, _, terms = p._form
+    hshift = dim * w
+    lo, hi = (min(terms) >> hshift, max(terms) >> hshift) if terms else (0, 0)
+    exps = K.exponents([key & (1 << hshift) - 1 for key in terms] if hi
+                       else terms, dim, w)
+    return max(map(sum, exps), default=-1), lo, hi
 
 
-def _by_h_power(accs, order: int, top: int, ds: int, hshift: int) -> list:
-    """Regroup the walk's per-depth maps into the h^n coefficients,
-    n = 0..order: the term at depth k with h-degree j goes to h^(k+j),
-    over the denominator of depth min(k + j, top), and terms past the
-    order are dropped."""
-    # rel[k] = Ds^k k!, each depth's denominator over that of depth 0
-    rel = [1]
-    for k in range(top):
-        rel.append(rel[-1] * ds * (k + 1))
-    low = (1 << hshift) - 1
-    groups = [{} for _ in range(order + 1)]
-    for k, acc in enumerate(accs):
-        scales = [rel[min(k + j, top)] // rel[k]
-                  for j in range(order + 1 - k)]
-        for key, (x, y) in acc.items():
-            j = key >> hshift
-            if j < len(scales):
-                s = scales[j]
-                dst = groups[k + j]
-                key &= low
-                old = dst.get(key)
-                dst[key] = ((x * s, y * s) if old is None
-                            else (old[0] + x * s, old[1] + y * s))
-    return groups
+def _by_copy(p: SparsePoly, dim: int):
+    """For a series polynomial p in dim variables and h: {i: its terms in
+    copy i, keyed as in copy 0, h's field just above the pair}; None at the
+    first term in two copies, or past 32-bit fields, which the walk sizes."""
+    w, _, terms = p._form
+    step, hshift = 2 * w, dim * w
+    if step > 64:
+        return None
+    low, parts = (1 << hshift) - 1, {}
+    for key, c in terms.items():
+        v = key & low
+        if v:
+            at = (v.bit_length() - 1) // step * step
+            if v >> at << at != v:
+                return None
+            parts.setdefault(at // step, {})[
+                v >> at | key >> hshift << step] = c
+    return parts
 
 
-def _with_h(coeffs, js, width: int, hshift: int) -> tuple:
-    """(p, D): sum over j in js of h^j coeffs[j] packed in fields of this
-    width over the lcm D of their denominators; h^j adds j << hshift."""
-    if js == [0]:
-        return coeffs[0]._at(width), coeffs[0]._form[1]
-    den = lcm(*(coeffs[j]._form[1] for j in js))
-    out = {}
-    for j in js:
-        s = den // coeffs[j]._form[1]
-        h = j << hshift
-        out.update({key + h: (a * s, b * s)
-                    for key, (a, b) in coeffs[j]._at(width).items()})
-    return out, den
-
-
-def _by_copy(coeffs, order: int):
-    """For each coeffs[j], j <= order, {i: its nonconstant terms in copy i,
-    keyed as in copy 0}; None at the first term in two copies, or in fields
-    past 32 bits, whose products the walk sizes or refuses."""
-    out = []
-    for p in coeffs[:order + 1]:
-        step, parts = 2 * p._form[0], {}
-        if step > 64:
-            return None
-        for key, c in p._form[2].items():
-            if key:
-                at = (key.bit_length() - 1) // step * step
-                if key >> at << at != key:
-                    return None
-                parts.setdefault(at // step, {})[key >> at] = c
-        out.append(parts)
-    return out
-
-
-def _gather(p: SparsePoly, moved: list) -> SparsePoly:
-    """p plus each one-pair polynomial r of moved, (i, r), its keys shifted
-    into copy i, over one denominator and normalized once."""
+def _gather(p: SparsePoly, moved: list, order: int, dim: int) -> SparsePoly:
+    """The series polynomial p in dim variables and h plus each one-pair
+    series r of moved, (i, r), its keys shifted into copy i, over one
+    denominator, without the terms past h^order, and normalized once."""
     if not moved:
-        return p
+        return _cut(SparsePoly._make(dim + 1, *p._form, False), order)
     width = max(p._form[0], *(r._form[0] for _, r in moved))
     den = lcm(p._form[1], *(r._form[1] for _, r in moved))
+    hshift, pair = dim * width, (1 << 2 * width) - 1
     acc = K.madd(p._at(width), {}, den // p._form[1])
     for i, r in moved:
         s, at = den // r._form[1], 2 * width * i
         for key, (a, b) in r._at(width).items():
-            x, y = acc.get(key << at, (0, 0))
-            acc[key << at] = (x + a * s, y + b * s)
-    return SparsePoly._make(p.arity, width, den, acc)
+            key = (key & pair) << at | key >> 2 * width << hshift
+            x, y = acc.get(key, (0, 0))
+            acc[key] = (x + a * s, y + b * s)
+    end = order + 1 << hshift
+    return SparsePoly._make(dim + 1, width, den, {
+        key: c for key, c in acc.items() if key < end})
 
 
 class StarProduct(Immutable):
@@ -222,15 +184,13 @@ class StarProduct(Immutable):
     def bidiff_power(self, k: int, f: SparsePoly, g: SparsePoly) -> SparsePoly:
         """B_k(f, g), without the (i/2)^k / k! prefactor."""
         self._check_arity(f, g)
-        if k < 0:
-            raise InputError("bidifferential order must be nonnegative")
-        return self._bidiff(k, (f,), (g,))[k].scale(
+        return self.coefficient(k, f, g).scale(
             factorial(k) * ExactComplex(0, -2) ** k)
 
-    def _bidiff(self, order: int, fs, gs) -> list:
-        """The h^n coefficients, n = 0..order, of the product of the series
-        sum_j h^j fs[j] and sum_k h^k gs[k], as polynomials indexed by n:
-        on the one-body path of the module docstring where it applies."""
+    def _bidiff(self, order: int, F: SparsePoly, G: SparsePoly) -> SparsePoly:
+        """The product of the series polynomials F and G, h their last
+        variable (or absent: the packed form is the same), without its
+        terms past h^order, on the one-body path where it applies."""
         if self._copy is None:
             p = self._pairs  # row by row, so a copy's block is p[:2]
             object.__setattr__(self, "_copy", self.dim > 2 and p == tuple(
@@ -238,55 +198,44 @@ class StarProduct(Immutable):
                 for a, b, x, y in p[:2]) and StarProduct(PoissonBivector(
                     [row[:2] for row in self.bivector.matrix[:2]])))
         one = self._copy
-        fparts = one and _by_copy(fs, order)
-        gparts = fparts and _by_copy(gs, order)
-        if not gparts:
-            return self._walk(order, fs, gs)
-        plain = [SparsePoly.zero(self.dim)] * (order + 1)
-        moved = [[] for _ in range(order + 1)]
-        products = {}  # f_i * g_i by (j, k) and the two copy parts
-        for j, f in enumerate(fs[:order + 1]):
-            (wf, df, _), fp = f._form, fparts[j]
-            for k, g in enumerate(gs[:order + 1 - j]):
-                if not (f and g):
-                    continue
-                (wg, dg, _), gp = g._form, gparts[k]
-                fg = f * g
-                plain[j + k] = plain[j + k] + fg if plain[j + k] else fg
-                zf, zg = (1 << wf) - 1, (1 << wg) - 1  # the base fields
-                for i in fp.keys() & gp.keys() if j + k < order else ():
-                    orf, org = reduce(or_, fp[i], 0), reduce(or_, gp[i], 0)
-                    if not (orf & zf and org > zg or orf > zf and org & zg):
-                        continue  # copy i commutes
-                    key = (j, k, frozenset(fp[i].items()),
-                           frozenset(gp[i].items()))
-                    r = products.get(key)
-                    if r is None:
-                        r = products[key] = one._bidiff(order - j - k, (
-                            SparsePoly._make(2, wf, df, fp[i]),), (
-                            SparsePoly._make(2, wg, dg, gp[i]),))
-                    for m in range(1, len(r)):
-                        if r[m]:
-                            moved[j + k + m].append((i, r[m]))
-        return [_gather(p, parts) for p, parts in zip(plain, moved)]
+        fparts = _by_copy(F, self.dim) if one else None
+        gparts = None if fparts is None else _by_copy(G, self.dim)
+        if gparts is None:
+            return self._walk(order, F, G)
+        (wf, df, _), (wg, dg, _) = F._form, G._form
+        zf, zg = (1 << wf) - 1, (1 << wg) - 1  # the base fields
+        moved, products = [], {}  # products by copy parts, star less plain
+        for i in fparts.keys() & gparts.keys():
+            fp, gp = fparts[i], gparts[i]
+            orf = reduce(or_, fp) & (zf << wf | zf)
+            org = reduce(or_, gp) & (zg << wg | zg)
+            if not (orf & zf and org > zg or orf > zf and org & zg):
+                continue  # copy i commutes
+            if (min(fp) >> 2 * wf) + (min(gp) >> 2 * wg) >= order:
+                continue  # the product already sits at the last h-power
+            key = (frozenset(fp.items()), frozenset(gp.items()))
+            r = products.get(key)
+            if r is None:
+                f, g = (SparsePoly._make(3, wf, df, fp),
+                        SparsePoly._make(3, wg, dg, gp))
+                r = products[key] = one._bidiff(order, f, g) - f * g
+            moved.append((i, r))
+        return _gather(F * G, moved, order, self.dim)
 
-    def _walk(self, order: int, fs, gs) -> list:
+    def _walk(self, order: int, F: SparsePoly, G: SparsePoly) -> SparsePoly:
         """_bidiff by the walk of the module docstring, the general product."""
         dim = self.dim
-        jf, degf, topf = _support(fs, order)
-        jg, degg, topg = _support(gs, order)
-        if not jf or not jg or jf[0] + jg[0] > order:
-            return [SparsePoly.zero(dim)] * (order + 1)
-        fmin, gmin = jf[0], jg[0]
-        fmax, gmax = jf[-1], jg[-1]
+        degf, fmin, fmax = _support(F, dim)
+        degg, gmin, gmax = _support(G, dim)
+        if degf < 0 or degg < 0 or fmin + gmin > order:
+            return SparsePoly.zero(dim + 1)
         top = min(order - fmin - gmin, degf, degg)
-        # with no h-terms in either factor no term is ever past a cap
-        hcaps = fmax or gmax
-        width = K.field_width((topf + topg).bit_length())
+        hcaps = fmax or gmax  # else no term is ever past a cap
+        (wf, _, pf), (wg, _, pg) = F._form, G._form
+        width = max(K.product_width(pf, wf, pg, wg, dim + 1), K.field_width(
+            min(order, fmax + gmax + top).bit_length()))
         hshift = dim * width
-        (lf, df), (lg, dg) = (_with_h(fs, jf, width, hshift),
-                              _with_h(gs, jg, width, hshift))
-        den = df * dg
+        lf, lg = F._at(width), G._at(width)
         accs = [K.maddmul({}, lf, lg, 1, 0)] + [{} for _ in range(top)]
         # (depth, the parent's useful entries, the index there of the last
         #  entry picked, its multiplicity, weight numerator, multinomial
@@ -334,15 +283,27 @@ class StarProduct(Immutable):
                     children.append((depth + 1, useful, len(useful) - 1, m,
                                      nr, ni, c, da2, db2, ha, hb))
             stack.extend(reversed(children))
-        if fmax + gmax:
-            accs = _by_h_power(accs, order, top, self._ds, hshift)
-        # h^n is over Df Dg Ds^m m!, m the largest depth that reaches it
-        out = []
-        for n, acc in enumerate(accs):
-            out.append(SparsePoly._make(dim, width, den, acc))
-            if n < top:
-                den *= self._ds * (n + 1)
-        return out + [SparsePoly.zero(dim)] * (order + 1 - len(out))
+        # depth k is over Df Dg Ds^k k!: scaled by Ds^(top-k) top! / k! to
+        # the deepest's, which comes first, unscaled, where the normalizing
+        # gcd most often meets 1, and moved to h^k, past the order dropped
+        out = {}
+        get = out.get
+        s = 1
+        for k in range(top, -1, -1):
+            s *= self._ds * (k + 1) if k < top else 1
+            h, end = k << hshift, order - k + 1 << hshift
+            if not hcaps:  # every term of depth k lands on h^k alone
+                out.update({key + h: (x * s, y * s)
+                            for key, (x, y) in accs[k].items()})
+                continue
+            for key, (x, y) in accs[k].items():
+                if key < end:
+                    key += h
+                    old = get(key)
+                    out[key] = ((x * s, y * s) if old is None
+                                else (old[0] + x * s, old[1] + y * s))
+        return SparsePoly._make(dim + 1, width, F._form[1] * G._form[1] * s,
+                                out)
 
     def _entries(self, width: int) -> tuple:
         """Each entry (a, b, step re, step im) with the masks of its two
@@ -369,14 +330,15 @@ class StarProduct(Immutable):
             order = self.order
         if order < 0:
             raise InputError("order must be nonnegative")
-        return HbarSeries(self._bidiff(order, (f,), (g,)))
+        return HbarSeries._of(self._bidiff(order, f, g), order)
 
     def star_series(self, F: HbarSeries, G: HbarSeries) -> HbarSeries:
         """Star product of two series, truncated at the smaller order."""
         if F.arity != self.dim or G.arity != self.dim:
             raise ArityError(f"expected arity {self.dim}")
-        return HbarSeries(self._bidiff(min(F.order, G.order), F.coeffs,
-                                       G.coeffs))
+        order = min(F.order, G.order)
+        return HbarSeries._of(self._bidiff(order, _cut(F.packed, order),
+                                           _cut(G.packed, order)), order)
 
     def commutator(self, f: SparsePoly, g: SparsePoly,
                    order: int | None = None) -> HbarSeries:

@@ -23,6 +23,7 @@ from .poisson import SymplecticForm
 from .poly import SparsePoly
 from .reports import Report
 from .scalars import ExactComplex
+from .series import HbarSeries
 
 
 class ProductSpace(Immutable):
@@ -109,19 +110,23 @@ class Permutation(Immutable):
         return f"Permutation({list(self.images)})"
 
 
-def permute_poly(sigma: Permutation, f: SparsePoly) -> SparsePoly:
-    """Send the (zeta_i, lambda_i) pair of copy i to copy sigma(i)."""
+def permute_poly(sigma: Permutation, f):
+    """Send the (zeta_i, lambda_i) pair of copy i to copy sigma(i); a
+    series (HbarSeries) moves whole, h's field above the copies kept."""
     if f.arity != 2 * sigma.n:
         raise ArityError(
             f"permutation of {sigma.n} copies needs arity {2 * sigma.n}, "
             f"got {f.arity}")
-    width, den, p = f._form
+    p = f.packed if isinstance(f, HbarSeries) else f
+    width, den, terms = p._form
     step = 2 * width  # copy i is the block of two fields from bit step * i
-    block = (1 << step) - 1
+    block, top = (1 << step) - 1, f.arity * width
     moves = [(step * i, step * t) for i, t in enumerate(sigma.images)]
-    out = {sum((key >> src & block) << dst for src, dst in moves): c
-           for key, c in p.items()}
-    return SparsePoly._make(f.arity, width, den, out, False)
+    out = SparsePoly._make(p.arity, width, den, {
+        key >> top << top | sum((key >> src & block) << dst
+                                for src, dst in moves): c
+        for key, c in terms.items()}, False)
+    return out if p is f else HbarSeries._of(out, f.order)
 
 
 def equivariance_check(ps: ProductSpace, sigma: Permutation,
@@ -130,8 +135,7 @@ def equivariance_check(ps: ProductSpace, sigma: Permutation,
     """Relabelling copies commutes with the product, exactly."""
     rep = Report("symmetric-group equivariance")
     lhs = ps.star.star(permute_poly(sigma, f), permute_poly(sigma, g), order)
-    rhs = ps.star.star(f, g, order).map_coeffs(
-        lambda p: permute_poly(sigma, p))
+    rhs = permute_poly(sigma, ps.star.star(f, g, order))
     rep.add_equal(f"sigma={list(sigma.images)}", lhs, rhs)
     return rep
 

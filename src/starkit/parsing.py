@@ -20,7 +20,7 @@ nonnegative integer literals.
 The parser folds constant subexpressions to exact scalars and reads a
 variable power as its one packed key; a ``SparsePoly`` in arity + 1
 variables, the last standing for h, is built only where a variable
-enters.  ``parse_poly`` and ``parse_series`` split off h's field.
+enters: a series' packed form (``starkit.series``), or a polynomial's.
 
 The printer emits one canonical form: terms in descending graded
 lexicographic order, series coefficients in ascending powers of h, and
@@ -42,7 +42,7 @@ from . import _kernel as K
 from .errors import ParseError
 from .poly import SparsePoly
 from .scalars import ExactComplex, format_complex, format_ratio
-from .series import HbarSeries
+from .series import HbarSeries, _cut
 
 # parentheses recurse through five methods per level; deeper text is
 # refused before it can exhaust the interpreter's recursion limit
@@ -302,24 +302,14 @@ def parse_poly(text: str, arity: int) -> SparsePoly:
 
 def parse_series(text: str, arity: int, order: int) -> HbarSeries:
     """Parse a series in z1..z<arity> and h, truncated at the given order."""
-    width, den, p = _Parser(text, arity, allow_h=True).parse()._form
-    # a term of h^k keys on its exponents plus k in the field above them
-    shift = arity * width
-    low = (1 << shift) - 1
-    coeffs = [{} for _ in range(order + 1)]
-    for key, c in p.items():
-        k = key >> shift
-        if k <= order:
-            coeffs[k][key & low] = c
-    return HbarSeries([SparsePoly._make(arity, width, den, t)
-                       for t in coeffs])
+    return HbarSeries._of(
+        _cut(_Parser(text, arity, allow_h=True).parse(), order), order)
 
 
 def parse_expr(text: str, arity: int, order: int | None = None):
     """Parse to a SparsePoly, or to an HbarSeries when order is given."""
-    if order is None:
-        return parse_poly(text, arity)
-    return parse_series(text, arity, order)
+    return (parse_poly(text, arity) if order is None
+            else parse_series(text, arity, order))
 
 
 def parse_scalar(text: str) -> ExactComplex:
@@ -406,11 +396,8 @@ def poly_to_str(p: SparsePoly, names=None) -> str:
 
 def series_to_str(s: HbarSeries, names=None) -> str:
     names = names or _default_names(s.arity)
-    powers: dict = {}
-    prefixes: dict = {}
-    pieces = []
-    for k in range(s.order + 1):
-        p = s.coeffs[k]
+    powers, prefixes, pieces = {}, {}, []
+    for k, p in enumerate(s.coeffs):
         if p.is_zero():
             continue
         if k == 0:
@@ -423,6 +410,4 @@ def series_to_str(s: HbarSeries, names=None) -> str:
         else:
             body = _join(_pieces(p, names, powers, prefixes))
             pieces.append((1, f"({body})*{hpow}"))
-    if not pieces:
-        return "0"
-    return _join(pieces)
+    return _join(pieces) if pieces else "0"

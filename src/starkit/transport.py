@@ -10,8 +10,9 @@ Conjugation then carries a star product across the map:
 
     f *' g = psi_inverse( psi(f) * psi(g) ),   psi(f) = f o inverse
 
-applied per h-coefficient.  Conjugation by any invertible polynomial map
-preserves associativity, the unit, and the classical limit, and its
+applied to every h-coefficient at once, in one substitution that
+fixes h.  Conjugation by any invertible polynomial map preserves
+associativity, the unit, and the classical limit, and its
 first-order commutator always reproduces the pullback bracket
 
     {f, g}_pulled = {f o inverse, g o inverse} o forward.
@@ -43,7 +44,7 @@ from .poisson import PoissonBivector, SymplecticForm, form_from_bivector
 from .poly import SparsePoly
 from .reports import Report
 from .scalars import ExactComplex
-from .series import HbarSeries
+from .series import HbarSeries, _lift
 
 
 class SymplectoMap(Immutable):
@@ -185,7 +186,9 @@ def _compose_coeffs(m: SymplectoMap, F: HbarSeries, gs) -> HbarSeries:
     if F.arity != m.dim:
         raise ArityError(f"series arity {F.arity} does not match map "
                          f"dimension {m.dim}")
-    return F.map_coeffs(lambda p: p.subst(gs))
+    h = SparsePoly.variable(m.dim + 1, m.dim + 1)
+    return HbarSeries._of(F.packed.subst([_lift(g) for g in gs] + [h]),
+                          F.order)
 
 
 def psi_map(m: SymplectoMap, F: HbarSeries) -> HbarSeries:

@@ -453,14 +453,59 @@ def test_identity_overlap_stars_once(square_surface, monkeypatch):
 
     monkeypatch.setattr(StarProduct, "star", spy)
     pairs = random_poly_pairs(2, 3, 3, seed=4)
-    for component, stars in (("side0", 1), ("side2", 2)):
+    # an identity overlap compares a product with itself: nothing stars
+    for component, stars in (("side0", 0), ("side2", 2)):
         ov = square_surface.find_overlap(component)
-        assert ov.transition.is_identity() == (stars == 1)
+        assert ov.transition.is_identity() == (stars == 0)
         for f, g in pairs:
             calls.clear()
             rep = atlas.overlap_agreement_check(square_surface, ov, f, g, 6)
             assert rep.passed
             assert len(calls) == stars
+
+
+def test_shear_on_an_identity_overlap_stars_twice_and_fails(square_surface,
+                                                            monkeypatch):
+    calls = []
+    star = StarProduct.star
+
+    def spy(self, f, g, order=None):
+        calls.append((f, g))
+        return star(self, f, g, order)
+
+    monkeypatch.setattr(StarProduct, "star", spy)
+    ov = square_surface.find_overlap("side0")
+    assert ov.transition.is_identity()
+    shear = atlas.ChartMap([[1, 1], [0, 1]], [0, 0])
+    f = SparsePoly.variable(2, 1) ** 2 * SparsePoly.variable(2, 2)
+    g = SparsePoly.variable(2, 1) + SparsePoly.variable(2, 2) ** 2
+    rep = atlas.overlap_agreement_check(square_surface, ov, f, g, 4,
+                                        transition=shear)
+    assert len(calls) == 2
+    assert not rep.passed
+
+
+def test_patch_check_draws_pairs_only_on_non_identity_overlaps(monkeypatch,
+                                                               capsys):
+    from starkit import cli, corpus
+    surface = atlas.ingest_polygon(
+        atlas.PolygonGluing.from_file(fixture_path("octagon.json")))
+    moved = [idx for idx, ov in enumerate(surface.overlaps)
+             if not ov.transition.is_identity()]
+    assert (len(moved), len(surface.overlaps)) == (9, 16)
+    seeds = []
+    draw = corpus.random_poly_pairs
+
+    def spy(arity, count, max_degree, seed):
+        seeds.append(seed)
+        return draw(arity, count, max_degree, seed)
+
+    monkeypatch.setattr(corpus, "random_poly_pairs", spy)
+    code = cli.main(["patch-check", "--surface", fixture_path("octagon.json"),
+                     "--seed", "7", "--json"])
+    capsys.readouterr()
+    assert code == 0
+    assert seeds == [7 + idx for idx in moved]
 
 
 def test_chart_star_runs_in_every_chart(square_surface):

@@ -193,6 +193,7 @@ def small_polys(arity):
 
 
 def assert_normalized(series):
+    assert_canonical(series.packed)
     for coeff in series.coeffs:
         assert_canonical(coeff)
 
@@ -445,6 +446,11 @@ def test_walk_differentiates_only_where_a_derivative_is_not_zero(monkeypatch):
 
 # -- the one-body path on copies of one pair ----------------------------------
 
+def packed(coeffs) -> SparsePoly:
+    """The packed form of the series sum_j h^j coeffs[j], h last."""
+    return HbarSeries(coeffs).packed
+
+
 def count_walks(monkeypatch) -> list:
     """The dimension of every star whose walk runs from now on."""
     dims = []
@@ -505,9 +511,9 @@ def test_one_body_path_matches_the_walk(data):
     gs = tuple(data.draw(st.lists(one_body(copies), min_size=1, max_size=3),
                          label="gs"))
     s = StarProduct.standard(copies)
-    got = s._bidiff(order, fs, gs)
-    want = s._walk(order, fs, gs)
-    assert [p._form for p in got] == [p._form for p in want]
+    got = s._bidiff(order, packed(fs), packed(gs))
+    want = s._walk(order, packed(fs), packed(gs))
+    assert got._form == want._form
 
 
 def test_copy_parts_repeated_across_h_powers_match_the_walk():
@@ -518,16 +524,16 @@ def test_copy_parts_repeated_across_h_powers_match_the_walk():
     u = polarized_sum(ps, 4, 4)
     third = u.scale(Fraction(1, 3))
     fs, gs = (u, third, u), (u, third)
-    got = ps.star._bidiff(8, fs, gs)
-    want = ps.star._walk(8, fs, gs)
-    assert [p._form for p in got] == [p._form for p in want]
+    got = ps.star._bidiff(8, packed(fs), packed(gs))
+    want = ps.star._walk(8, packed(fs), packed(gs))
+    assert got._form == want._form
 
 
 def test_symmetric_product_runs_one_one_pair_walk(monkeypatch):
     ps = ProductSpace(10)
     f = polarized_sum(ps, 2, 3, ExactComplex(Fraction(1, 2), 2))
     g = polarized_sum(ps, 3, 2, ExactComplex(-2, Fraction(1, 3)))
-    want = HbarSeries(ps.star._walk(8, (f,), (g,)))
+    want = HbarSeries._of(ps.star._walk(8, packed([f]), packed([g])), 8)
     assert ps.star._copy is None  # nothing is looked for before first use
     walks = count_walks(monkeypatch)
     assert ps.star.star(f, g) == want
@@ -562,10 +568,10 @@ def test_other_factors_take_the_walk(monkeypatch):
         (ps.star, HbarSeries([one, z(1) * lam(2), zero, zero, zero]),
          HbarSeries([one, lam(1), zero, zero, zero])),
     ]
-    wants = [s._walk(4, F.coeffs, G.coeffs) for s, F, G in cases]
+    wants = [s._walk(4, F.packed, G.packed) for s, F, G in cases]
     walks = count_walks(monkeypatch)
     for (s, F, G), want in zip(cases, wants):
-        assert s.star_series(F, G) == HbarSeries(want)
+        assert s.star_series(F, G) == HbarSeries._of(want, 4)
         assert walks == [s.dim]
         del walks[:]
     assert single._copy is False and gauss4._copy is False
@@ -578,11 +584,11 @@ def test_one_body_fields_past_64_bits_are_refused_as_by_the_walk():
     g = SparsePoly(4, {(0, 0, big, 0): 1})
     for fs, gs in (((f,), (g,)), ((f, f), (g,))):
         with pytest.raises(InputError) as caught:
-            ps.star._bidiff(2, fs, gs)
+            ps.star._bidiff(2, packed(fs), packed(gs))
         assert str(caught.value) == (
             "exponents need 65-bit fields; the kernel packs at most 64")
         with pytest.raises(InputError) as walked:
-            ps.star._walk(2, fs, gs)
+            ps.star._walk(2, packed(fs), packed(gs))
         assert str(walked.value) == str(caught.value)
 
 

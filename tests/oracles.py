@@ -216,3 +216,73 @@ def ref_pieces(p, names, powers: dict, prefixes: dict) -> list:
                 K.qnorm(a, den) + K.qnorm(b, den), key[3])
         out.append((piece[0], piece[1] + mono))
     return out
+
+
+# -- the series as a tuple of coefficients ------------------------------------
+#
+# The coefficient-tuple arithmetic HbarSeries ran on before it held one
+# packed polynomial: a series of order K is K + 1 SparsePoly coefficients,
+# and every operation goes coefficient by coefficient.
+
+def ref_series(F) -> tuple:
+    """(arity, coefficients) of an HbarSeries, read through its public
+    coefficient API."""
+    return F.arity, tuple(F.coeffs)
+
+
+def ref_add(fs, gs, sign=1) -> tuple:
+    """fs + sign * gs, truncated at the shorter."""
+    return tuple(a + b if sign > 0 else a - b for a, b in zip(fs, gs))
+
+
+def ref_mul(fs, gs) -> tuple:
+    """The Cauchy product in h, truncated at the shorter."""
+    from starkit.poly import SparsePoly
+    zero = SparsePoly.zero(fs[0].arity)
+    return tuple(sum((fs[j] * gs[k - j] for j in range(k + 1)), zero)
+                 for k in range(min(len(fs), len(gs))))
+
+
+def ref_scale(fs, value) -> tuple:
+    return tuple(c.scale(value) for c in fs)
+
+
+def ref_shift(fs, j) -> tuple:
+    """h^j times the series, keeping its order."""
+    from starkit.poly import SparsePoly
+    zeros = [SparsePoly.zero(fs[0].arity)] * min(j, len(fs))
+    return tuple((zeros + list(fs))[:len(fs)])
+
+
+def ref_truncate(fs, order) -> tuple:
+    from starkit.poly import SparsePoly
+    pad = [SparsePoly.zero(fs[0].arity)] * (order + 1 - len(fs))
+    return tuple((list(fs) + pad)[:order + 1])
+
+
+def ref_parse_series(text: str, arity: int, order: int) -> tuple:
+    """The parser's packed value in arity + 1 variables, h last, split into
+    the coefficients of h^0..h^order, each normalized on its own."""
+    from starkit.parsing import _Parser
+    from starkit.poly import SparsePoly
+    width, den, p = _Parser(text, arity, allow_h=True).parse()._form
+    shift = arity * width
+    low = (1 << shift) - 1
+    coeffs = [{} for _ in range(order + 1)]
+    for key, c in p.items():
+        if key >> shift <= order:
+            coeffs[key >> shift][key & low] = c
+    return tuple(SparsePoly._make(arity, width, den, t) for t in coeffs)
+
+
+def ref_star_series(star, fs, gs) -> tuple:
+    """sum over j, k of h^(j+k) fs[j] * gs[k], each pair starred alone as
+    polynomials, truncated at the shorter series."""
+    from starkit.poly import SparsePoly
+    order = min(len(fs), len(gs)) - 1
+    out = [SparsePoly.zero(star.dim)] * (order + 1)
+    for j, f in enumerate(fs[:order + 1]):
+        for k, g in enumerate(gs[:order + 1 - j]):
+            for m, c in enumerate(star.star(f, g, order - j - k).coeffs):
+                out[j + k + m] = out[j + k + m] + c
+    return tuple(out)

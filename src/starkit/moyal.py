@@ -45,9 +45,12 @@ depth k sits over the one denominator Df Dg Ds^k k!, and depth 0 is the
 plain product.  A term of h-degree j at depth k lands on h^(j+k).  Each
 branch drops the derivative terms whose h-degree can no longer fit below
 the order, so a deep branch does not carry them; when the walk has
-finished, each depth k is rescaled to the denominator of the deepest and
-shifted by k in h's field into one map, what lies past the order is
-dropped, and the product is normalized once.
+finished, each depth k is scaled by Ds^(top-k) top! / k! to the
+deepest's denominator and shifted by k in h's field into one map, what
+lies past the order dropped.  With h-terms the depths meet, and the map
+is normalized once; without, its content is read the deepest depth
+first, until it divides a depth's scale and so every shallower one, and
+divided out as the terms move.
 
 On two or more copies of one 2 x 2 block on the pairs (z_2i-1, z_2i),
 as on a product space, distinct copies star-commute: for one-body
@@ -67,7 +70,7 @@ to the walk.
 from __future__ import annotations
 
 from functools import reduce
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import or_
 
 from . import _kernel as K
@@ -113,24 +116,22 @@ def _by_copy(p: SparsePoly, dim: int):
 
 
 def _gather(p: SparsePoly, moved: list, order: int, dim: int) -> SparsePoly:
-    """The series polynomial p in dim variables and h plus each one-pair
-    series r of moved, (i, r), its keys shifted into copy i, over one
-    denominator, without the terms past h^order, and normalized once."""
+    """The series polynomial p in dim variables and h, without its terms
+    past h^order, plus each one-pair series r of moved, (i, r), its keys
+    shifted into copy i."""
+    p = _cut(SparsePoly._make(dim + 1, *p._form, False), order)
     if not moved:
-        return _cut(SparsePoly._make(dim + 1, *p._form, False), order)
-    width = max(p._form[0], *(r._form[0] for _, r in moved))
-    den = lcm(p._form[1], *(r._form[1] for _, r in moved))
-    hshift, pair = dim * width, (1 << 2 * width) - 1
-    acc = K.madd(p._at(width), {}, den // p._form[1])
+        return p
+    width = max(r._form[0] for _, r in moved)
+    den = lcm(*(r._form[1] for _, r in moved))
+    acc, hshift, pair = {}, dim * width, (1 << 2 * width) - 1
     for i, r in moved:
         s, at = den // r._form[1], 2 * width * i
         for key, (a, b) in r._at(width).items():
             key = (key & pair) << at | key >> 2 * width << hshift
             x, y = acc.get(key, (0, 0))
             acc[key] = (x + a * s, y + b * s)
-    end = order + 1 << hshift
-    return SparsePoly._make(dim + 1, width, den, {
-        key: c for key, c in acc.items() if key < end})
+    return p + SparsePoly._make(dim + 1, width, den, acc)
 
 
 class StarProduct(Immutable):
@@ -218,7 +219,8 @@ class StarProduct(Immutable):
             if r is None:
                 f, g = (SparsePoly._make(3, wf, df, fp),
                         SparsePoly._make(3, wg, dg, gp))
-                r = products[key] = one._bidiff(order, f, g) - f * g
+                r = products[key] = (one._bidiff(order, f, g)
+                                     - _cut(f * g, order))
             moved.append((i, r))
         return _gather(F * G, moved, order, self.dim)
 
@@ -283,27 +285,27 @@ class StarProduct(Immutable):
                     children.append((depth + 1, useful, len(useful) - 1, m,
                                      nr, ni, c, da2, db2, ha, hb))
             stack.extend(reversed(children))
-        # depth k is over Df Dg Ds^k k!: scaled by Ds^(top-k) top! / k! to
-        # the deepest's, which comes first, unscaled, where the normalizing
-        # gcd most often meets 1, and moved to h^k, past the order dropped
-        out = {}
-        get = out.get
-        s = 1
+        # the scales and the content of the module docstring
+        den = F._form[1] * G._form[1] * self._ds ** top * factorial(top)
+        g, s = 1 if hcaps else den, 1
         for k in range(top, -1, -1):
-            s *= self._ds * (k + 1) if k < top else 1
-            h, end = k << hshift, order - k + 1 << hshift
-            if not hcaps:  # every term of depth k lands on h^k alone
-                out.update({key + h: (x * s, y * s)
-                            for key, (x, y) in accs[k].items()})
+            for x, y in accs[k].values() if s % g else ():
+                g = gcd(g, s * x, s * y)
+            s *= self._ds * k
+        out, s = {}, 1
+        for k in range(top, -1, -1):
+            a, b = s // gcd(g, s), g // gcd(g, s)
+            h, end, s = k << hshift, order - k + 1 << hshift, s * self._ds * k
+            if not hcaps:
+                out.update({key + h: (x // b * a, y // b * a)
+                            for key, (x, y) in accs[k].items() if x or y})
                 continue
             for key, (x, y) in accs[k].items():
                 if key < end:
-                    key += h
-                    old = get(key)
-                    out[key] = ((x * s, y * s) if old is None
-                                else (old[0] + x * s, old[1] + y * s))
-        return SparsePoly._make(dim + 1, width, F._form[1] * G._form[1] * s,
-                                out)
+                    u, v = out.get(key + h, (0, 0))
+                    out[key + h] = (u + x * a, v + y * a)
+        return SparsePoly._make(dim + 1, width, den // g, out,
+                                bool(hcaps) or width > 8)
 
     def _entries(self, width: int) -> tuple:
         """Each entry (a, b, step re, step im) with the masks of its two
@@ -422,13 +424,10 @@ def verify_dq_axioms(star_fn, bracket_fn, triples, order: int, arity: int,
     one = HbarSeries.from_poly(SparsePoly.const(arity, 1), order)
     ii = ExactComplex(0, 1)
     for idx, (f, g, h) in enumerate(triples):
-        F = HbarSeries.from_poly(f, order)
-        G = HbarSeries.from_poly(g, order)
-        H = HbarSeries.from_poly(h, order)
+        F, G, H = (HbarSeries.from_poly(p, order) for p in (f, g, h))
         fg = star_fn(F, G)
-        left = star_fn(fg, H)
-        right = star_fn(F, star_fn(G, H))
-        rep.add_equal(f"associativity[{idx}]", left, right)
+        rep.add_equal(f"associativity[{idx}]", star_fn(fg, H),
+                      star_fn(F, star_fn(G, H)))
         unit_ok = star_fn(one, F) == F and star_fn(F, one) == F
         rep.add(f"unit[{idx}]", unit_ok)
         rep.add(f"classical-limit[{idx}]", fg[0] == f * g)

@@ -177,10 +177,11 @@ class SparsePoly(Immutable):
         (w1, d1, p1), (w2, d2, p2) = self._form, other._form
         if not p2:
             return self
-        w = max(w1, w2)
-        d = lcm(d1, d2)
+        w, d = max(w1, w2), lcm(d1, d2)
+        p1, p2 = self._at(w), other._at(w)
+        # canonical maps on disjoint keys sum to one canonical over the lcm
         return SparsePoly._make(self.arity, w, d, K.madd(
-            self._at(w), other._at(w), d // d1, sign * (d // d2)))
+            p1, p2, d // d1, sign * (d // d2)), not p1.keys().isdisjoint(p2))
 
     def __add__(self, other):
         return self._add(other, 1)

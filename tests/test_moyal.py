@@ -266,6 +266,20 @@ def test_deep_walk_closed_form():
         assert got[k] == want
 
 
+def test_walk_narrows_the_fields_it_widened():
+    # the walk sizes its fields for 200 + 100, but no term of the product
+    # has an exponent past 200: the product is stored in 8-bit fields
+    got = sp2().star(zvar(1) ** 200, zvar(2) ** 100, 3)
+    assert_normalized(got)
+    assert got.packed._form[0] == 8
+    for k in range(4):
+        count = (factorial(200) // factorial(200 - k)
+                 * factorial(100) // factorial(100 - k))
+        coeff = (I / 2) ** k * Fraction((-1) ** k * count, factorial(k))
+        want = (zvar(1) ** (200 - k) * zvar(2) ** (100 - k)).scale(coeff)
+        assert got[k] == want
+
+
 # -- axioms ------------------------------------------------------------------
 
 def test_axioms_on_seeded_triples_dim2():

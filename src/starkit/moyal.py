@@ -45,9 +45,9 @@ depth k sits over the one denominator Df Dg Ds^k k!, and depth 0 is the
 plain product.  A term of h-degree j at depth k lands on h^(j+k).  Each
 branch drops the derivative terms whose h-degree can no longer fit below
 the order, so a deep branch does not carry them; when the walk has
-finished, each depth k is scaled by Ds^(top-k) top! / k! to the
-deepest's denominator and shifted by k in h's field into one map, what
-lies past the order dropped.  With h-terms the depths meet, and the map
+finished, each depth k is scaled by Ds^(t-k) t! / k! to the denominator
+of the deepest, t, and shifted by k in h's field into one map, what lies
+past the order dropped.  With h-terms the depths meet, and the map
 is normalized once; without, its content is read the deepest depth
 first, until it divides a depth's scale and so every shallower one, and
 divided out as the terms move.

@@ -819,6 +819,19 @@ PINNED_RUNS = {
          + "*q1 + 3"), 0,
         "f1a3a8b480aa7754d9501e1718f87f81945ee85a160c46bf8996098b6929be4d",
         "4ada16c2db701f0485915668311771515c99efe052295528ec8191685754cefc"),
+    # a depth-1 term that cancels an h-term exactly:
+    # z1*z2 + z1 + 1/2*i*z2*h
+    "star-h-term-cancels": (
+        ("star", "--order", "2", "z1 + 1/2*i*h", "z2 + 1"), 0,
+        "4732444ad9af55fb9eced4fb53b1e200c7e6c804782b8ce32fea2dea1c07b15e",
+        "9f1dcd8f53fab44044032c864211530e18ed98a2078d0bd91d4874da8c03ff9d"),
+    # h-terms in both factors on a non-block form, with terms past the
+    # order to cut
+    "star-gauss4-h-both": (
+        ("star", "--form", "tests/fixtures/form_gauss4.json", "--order", "3",
+         "z1*z2 + h*z3^2 - 2*h^2", "z3*z4^2 + 1/3*h*z1"), 0,
+        "da5bc0885245495b1712b1fce826b7c3c94c9de5ae7ef791d06a1d1637d95118",
+        "b3f361c7aeb794f401e5c8e4449ff1a8d5c0bab5f664fc047068a920efa9a507"),
 }
 
 

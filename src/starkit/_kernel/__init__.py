@@ -24,7 +24,8 @@ learns which variables a map holds from the OR of its keys.
 ``maddmul`` is the one loop over pairs of terms; ``mmul`` is a product,
 in which a factor of one term only shifts and scales the other; ``madd``
 adds two maps under integer scales; ``mdiff`` multiplies numerators by
-the exponent and keeps den.  The denominators are the caller's to track.
+the exponent, keeps den and takes a key step off each key, by default
+one in the variable's field.  The denominators are the caller's to track.
 ``lift`` and ``lower`` convert between the packed form and a map from
 exponent tuples to normalized Gaussian rationals (rn, rd, jn, jd), at
 the edges only, such as the public constructor and ``terms()``.
@@ -232,17 +233,17 @@ def madd(p1, p2, s1=1, s2=1):
     return out
 
 
-def mdiff(p, var, width):
+def mdiff(p, var, width, step=None):
     """Packed partial derivative in variable var (0-based), over the same
-    denominator."""
+    denominator: each key less step, by default one in var's field."""
     shift = var * width
     mask = (1 << width) - 1
-    one = 1 << shift
+    step = 1 << shift if step is None else step
     out = {}
     for key, (a, b) in p.items():
         k = key >> shift & mask
         if k:
-            out[key - one] = (a * k, b * k)
+            out[key - step] = (a * k, b * k)
     return out
 
 

@@ -40,17 +40,18 @@ plus that of g, over their denominators Df and Dg.  The steps share one
 denominator Ds, twice the bivector's own.  A branch carries the product
 of its steps' numerators and the multinomial count k! / prod(m_p!),
 which picking entry p for the m-th time at depth k turns into
-count * (k + 1) // m, an exact division.  So every term the walk adds at
-depth k sits over the one denominator Df Dg Ds^k k!, and depth 0 is the
-plain product.  A term of h-degree j at depth k lands on h^(j+k).  Each
-branch drops the derivative terms whose h-degree can no longer fit below
-the order, so a deep branch does not carry them; when the walk has
-finished, each depth k is scaled by Ds^(t-k) t! / k! to the denominator
-of the deepest, t, and shifted by k in h's field into one map, what lies
-past the order dropped.  With h-terms the depths meet, and the map
-is normalized once; without, its content is read the deepest depth
-first, until it divides a depth's scale and so every shallower one, and
-divided out as the terms move.
+count * (k + 1) // m, an exact division.  So a term at depth k sits
+over Df Dg Ds^k k!; its weight is scaled by Ds^(t-k) t! / k!, t the
+deepest depth, and every term is written over the one denominator
+Df Dg Ds^t t! into one map.  A left derivative takes one h as it takes
+its variable (``K.mdiff`` with a key step), so a term of h-degree j at
+depth k lands on h^(j+k) as it is written.  Each branch drops the
+derivative terms whose h-degree can no longer fit below the order, so a
+deep branch does not carry them.  The plain product, depth 0 and the
+largest scale, goes in last, so that the gcd scan of ``K.normal``, which
+stops once it reaches 1, meets the smaller scales first.  Products of
+two h-terms may still pass the order; they are dropped once, and the map
+is normalized once.
 
 On two or more copies of one 2 x 2 block on the pairs (z_2i-1, z_2i),
 as on a product space, distinct copies star-commute: for one-body
@@ -70,7 +71,7 @@ to the walk.
 from __future__ import annotations
 
 from functools import reduce
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from operator import or_
 
 from . import _kernel as K
@@ -226,23 +227,26 @@ class StarProduct(Immutable):
 
     def _walk(self, order: int, F: SparsePoly, G: SparsePoly) -> SparsePoly:
         """_bidiff by the walk of the module docstring, the general product."""
-        dim = self.dim
+        dim, ds = self.dim, self._ds
         degf, fmin, fmax = _support(F, dim)
         degg, gmin, gmax = _support(G, dim)
         if degf < 0 or degg < 0 or fmin + gmin > order:
             return SparsePoly.zero(dim + 1)
         top = min(order - fmin - gmin, degf, degg)
         hcaps = fmax or gmax  # else no term is ever past a cap
-        (wf, _, pf), (wg, _, pg) = F._form, G._form
+        (wf, df, pf), (wg, dg, pg) = F._form, G._form
         width = max(K.product_width(pf, wf, pg, wg, dim + 1), K.field_width(
             min(order, fmax + gmax + top).bit_length()))
         hshift = dim * width
         lf, lg = F._at(width), G._at(width)
-        accs = [K.maddmul({}, lf, lg, 1, 0)] + [{} for _ in range(top)]
+        # depth k's weights, over Ds^k k!, scaled to Ds^top top!
+        scales = [ds ** (top - k) * factorial(top) // factorial(k)
+                  for k in range(top + 1)]
+        out = {}
         # (depth, the parent's useful entries, the index there of the last
         #  entry picked, its multiplicity, weight numerator, multinomial
-        #  count, the two derivatives, their largest h-degrees); the root
-        #  picks from every entry
+        #  count, the two derivatives, their largest h-degrees, the left
+        #  one's with the depth); the root picks from every entry
         stack = ([(0, self._entries(width), 0, 0, 1, 0, 1, lf, lg,
                    fmax, gmax)] if top else [])
         while stack:
@@ -250,7 +254,7 @@ class StarProduct(Immutable):
              ha, hb) = stack.pop()
             if hcaps:
                 # the h-degrees that still fit at the children's depth
-                cap = order - depth - 1 - gmin
+                cap = order - 1 - gmin
                 if ha > cap:
                     da = {key: c for key, c in da.items()
                           if key >> hshift <= cap}
@@ -271,50 +275,36 @@ class StarProduct(Immutable):
             children = []
             for k in range(start, len(cands)):
                 entry = cands[k]
-                a, b, sr, si, ma, mb = entry
+                a, b, sr, si, ma, mb, step = entry
                 if not (ora & ma and orb & mb):
                     continue
                 useful.append(entry)
-                da2 = K.mdiff(da, a, width)
+                da2 = K.mdiff(da, a, width, step)
                 db2 = K.mdiff(db, b, width)
                 m = mult + 1 if entry is last else 1
                 nr, ni = wr * sr - wi * si, wr * si + wi * sr
                 c = cnt * (depth + 1) // m
-                K.maddmul(accs[depth + 1], da2, db2, nr * c, ni * c)
+                s = c * scales[depth + 1]
+                K.maddmul(out, da2, db2, nr * s, ni * s)
                 if depth + 1 < top:
                     children.append((depth + 1, useful, len(useful) - 1, m,
-                                     nr, ni, c, da2, db2, ha, hb))
+                                     nr, ni, c, da2, db2, ha + 1, hb))
             stack.extend(reversed(children))
-        # the scales and the content of the module docstring
-        den = F._form[1] * G._form[1] * self._ds ** top * factorial(top)
-        g, s = 1 if hcaps else den, 1
-        for k in range(top, -1, -1):
-            for x, y in accs[k].values() if s % g else ():
-                g = gcd(g, s * x, s * y)
-            s *= self._ds * k
-        out, s = {}, 1
-        for k in range(top, -1, -1):
-            a, b = s // gcd(g, s), g // gcd(g, s)
-            h, end, s = k << hshift, order - k + 1 << hshift, s * self._ds * k
-            if not hcaps:
-                out.update({key + h: (x // b * a, y // b * a)
-                            for key, (x, y) in accs[k].items() if x or y})
-                continue
-            for key, (x, y) in accs[k].items():
-                if key < end:
-                    u, v = out.get(key + h, (0, 0))
-                    out[key + h] = (u + x * a, v + y * a)
-        return SparsePoly._make(dim + 1, width, den // g, out,
-                                bool(hcaps) or width > 8)
+        K.maddmul(out, lf, lg, scales[0], 0)
+        if hcaps:  # a product of two h-terms may pass the order
+            end = order + 1 << hshift
+            out = {key: c for key, c in out.items() if key < end}
+        return SparsePoly._make(dim + 1, width, df * dg * scales[0], out)
 
     def _entries(self, width: int) -> tuple:
         """Each entry (a, b, step re, step im) with the masks of its two
-        variables' fields in a key of this width; kept per width."""
+        variables' fields in a key of this width and the key step that
+        takes one a and gives one h; kept per width."""
         entries = self._masked.get(width)
         if entries is None:
-            masks = K.fields(self.dim, width)
+            masks, h = K.fields(self.dim, width), 1 << self.dim * width
             entries = self._masked[width] = tuple(
-                (a, b, sr, si, masks[a], masks[b])
+                (a, b, sr, si, masks[a], masks[b], (1 << a * width) - h)
                 for a, b, sr, si in self._pairs)
         return entries
 

@@ -286,3 +286,96 @@ def ref_star_series(star, fs, gs) -> tuple:
             for m, c in enumerate(star.star(f, g, order - j - k).coeffs):
                 out[j + k + m] = out[j + k + m] + c
     return tuple(out)
+
+
+# -- the Moyal walk with one accumulator per depth ----------------------------
+
+def ref_walk(star, order, F, G):
+    """StarProduct._walk as it was with one accumulator per depth: each
+    depth k's terms over Df Dg Ds^k k!, then every depth scaled to the
+    deepest one's denominator and shifted by k in h's field; with h-terms
+    the depths are merged and normalized, without them the content is
+    read the deepest depth first and divided out as the terms move."""
+    from functools import reduce
+    from math import factorial
+    from operator import or_
+
+    from starkit import _kernel as K
+    from starkit.moyal import _support
+    from starkit.poly import SparsePoly
+
+    dim = star.dim
+    degf, fmin, fmax = _support(F, dim)
+    degg, gmin, gmax = _support(G, dim)
+    if degf < 0 or degg < 0 or fmin + gmin > order:
+        return SparsePoly.zero(dim + 1)
+    top = min(order - fmin - gmin, degf, degg)
+    hcaps = fmax or gmax
+    (wf, _, pf), (wg, _, pg) = F._form, G._form
+    width = max(K.product_width(pf, wf, pg, wg, dim + 1), K.field_width(
+        min(order, fmax + gmax + top).bit_length()))
+    hshift = dim * width
+    lf, lg = F._at(width), G._at(width)
+    masks = K.fields(dim, width)
+    entries = tuple((a, b, sr, si, masks[a], masks[b])
+                    for a, b, sr, si in star._pairs)
+    accs = [K.maddmul({}, lf, lg, 1, 0)] + [{} for _ in range(top)]
+    stack = ([(0, entries, 0, 0, 1, 0, 1, lf, lg, fmax, gmax)]
+             if top else [])
+    while stack:
+        (depth, cands, start, mult, wr, wi, cnt, da, db,
+         ha, hb) = stack.pop()
+        if hcaps:
+            cap = order - depth - 1 - gmin
+            if ha > cap:
+                da = {key: c for key, c in da.items()
+                      if key >> hshift <= cap}
+                ha = cap
+            cap = order - depth - 1 - fmin
+            if hb > cap:
+                db = {key: c for key, c in db.items()
+                      if key >> hshift <= cap}
+                hb = cap
+            if not da or not db:
+                continue
+        ora = reduce(or_, da, 0)
+        orb = reduce(or_, db, 0)
+        last = cands[start] if mult else None
+        useful = []
+        children = []
+        for k in range(start, len(cands)):
+            entry = cands[k]
+            a, b, sr, si, ma, mb = entry
+            if not (ora & ma and orb & mb):
+                continue
+            useful.append(entry)
+            da2 = K.mdiff(da, a, width)
+            db2 = K.mdiff(db, b, width)
+            m = mult + 1 if entry is last else 1
+            nr, ni = wr * sr - wi * si, wr * si + wi * sr
+            c = cnt * (depth + 1) // m
+            K.maddmul(accs[depth + 1], da2, db2, nr * c, ni * c)
+            if depth + 1 < top:
+                children.append((depth + 1, useful, len(useful) - 1, m,
+                                 nr, ni, c, da2, db2, ha, hb))
+        stack.extend(reversed(children))
+    den = F._form[1] * G._form[1] * star._ds ** top * factorial(top)
+    g, s = 1 if hcaps else den, 1
+    for k in range(top, -1, -1):
+        for x, y in accs[k].values() if s % g else ():
+            g = gcd(g, s * x, s * y)
+        s *= star._ds * k
+    out, s = {}, 1
+    for k in range(top, -1, -1):
+        a, b = s // gcd(g, s), g // gcd(g, s)
+        h, end, s = k << hshift, order - k + 1 << hshift, s * star._ds * k
+        if not hcaps:
+            out.update({key + h: (x // b * a, y // b * a)
+                        for key, (x, y) in accs[k].items() if x or y})
+            continue
+        for key, (x, y) in accs[k].items():
+            if key < end:
+                u, v = out.get(key + h, (0, 0))
+                out[key + h] = (u + x * a, v + y * a)
+    return SparsePoly._make(dim + 1, width, den // g, out,
+                            bool(hcaps) or width > 8)

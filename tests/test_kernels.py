@@ -204,6 +204,21 @@ def test_mdiff_matches_fraction_loop(t, var):
         for e, (x, y) in ref_diff(t, var).items()}
 
 
+@settings(max_examples=40)
+@given(term_maps, st.sampled_from([0, 1]))
+def test_mdiff_key_step_moves_each_derivative_key(t, var):
+    # a step of one in var's field less one in a third field, as the
+    # Moyal walk takes h: each term of the derivative gains that field
+    width, den, p = K.lift(t)
+    h = 1 << 2 * width
+    got = K.mdiff(p, var, width, (1 << var * width) - h)
+    assert got == {key + h: c for key, c in K.mdiff(p, var, width).items()}
+    assert K.lower(got, den, 3, width) == {
+        e + (1,): norm_coeff((x.numerator, x.denominator,
+                              y.numerator, y.denominator))
+        for e, (x, y) in ref_diff(t, var).items()}
+
+
 packed_numerators = st.dictionaries(
     exps, st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=6)
 

@@ -23,7 +23,7 @@ from starkit.series import HbarSeries
 
 from conftest import fixture_path
 from oracles import assert_canonical, bivector_to_sympy, poly_to_sympy, \
-    ref_bidiff, ref_star, series_to_sympy, symbols_for
+    ref_bidiff, ref_star, ref_walk, series_to_sympy, symbols_for
 
 seeds = st.integers(0, 10_000)
 
@@ -280,6 +280,44 @@ def test_walk_narrows_the_fields_it_widened():
         assert got[k] == want
 
 
+WALK_STARS = {
+    **{f"standard-{n}": StarProduct.standard(n) for n in (1, 2, 3)},
+    "gauss4": StarProduct.from_form(
+        cli._load_form(fixture_path("form_gauss4.json"))),
+}
+
+
+@st.composite
+def walk_factor(draw, arity, with_h):
+    """A series polynomial in arity variables and h, h last, with at least
+    one h-term exactly when with_h; exponents past 255 widen the fields."""
+    part = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+    coeff = st.builds(ExactComplex, part, part)
+    base = st.sampled_from([0, 1, 2, 300])
+    def exps(h):
+        return st.tuples(*[base] * arity, h)
+    terms = draw(st.dictionaries(exps(st.integers(0, 3) if with_h
+                                      else st.just(0)),
+                                 coeff, min_size=1, max_size=3))
+    if with_h:
+        terms[draw(exps(st.integers(1, 3)))] = draw(coeff)
+    return SparsePoly(arity + 1, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_walk_matches_the_walk_with_one_accumulator_per_depth(data):
+    star = WALK_STARS[data.draw(st.sampled_from(sorted(WALK_STARS)),
+                                label="star")]
+    order = data.draw(st.integers(0, 8), label="order")
+    hf, hg = data.draw(st.sampled_from([(False, False), (True, False),
+                                        (False, True), (True, True)]),
+                       label="h-terms")
+    F = data.draw(walk_factor(star.dim, hf), label="F")
+    G = data.draw(walk_factor(star.dim, hg), label="G")
+    assert star._walk(order, F, G)._form == ref_walk(star, order, F, G)._form
+
+
 # -- axioms ------------------------------------------------------------------
 
 def test_axioms_on_seeded_triples_dim2():
@@ -428,8 +466,8 @@ def test_walk_differentiates_only_where_a_derivative_is_not_zero(monkeypatch):
     mdiff, bidiff, bracket = K.mdiff, StarProduct._bidiff, \
         PoissonBivector.bracket
 
-    def traced_mdiff(p, var, width):
-        out = mdiff(p, var, width)
+    def traced_mdiff(p, var, width, *step):
+        out = mdiff(p, var, width, *step)
         if inside:
             results.append(out)
         return out

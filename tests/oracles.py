@@ -175,15 +175,20 @@ def assert_canonical(p):
     assert all(a or b for a, b in packed.values())
     assert gcd(den, *(x for c in packed.values() for x in c)) == 1
     field = (1 << width) - 1
+
+    def reduced(n):
+        """n / den in lowest terms, (0, 1) for zero."""
+        g = gcd(n, den)
+        return n // g, den // g
+
     decoded = {tuple(key >> width * j & field for j in range(p.arity)):
-               (Fraction(a, den), Fraction(b, den))
-               for key, (a, b) in packed.items()}
-    assert decoded == {e: (c.re, c.im) for e, c in p.terms()}
+               reduced(a) + reduced(b) for key, (a, b) in packed.items()}
+    terms = {e: c.to_kernel() for e, c in p.terms()}
+    assert decoded == terms
     assert len(decoded) == len(packed) == len(p)
     top = max((max(e) for e in decoded), default=0)
     assert width == min(w for w in (8, 16, 32, 64) if top >> w == 0)
-    for _, c in p.terms():
-        rn, rd, jn, jd = c.to_kernel()
+    for rn, rd, jn, jd in terms.values():
         assert (rn or jn) and rd > 0 and jd > 0
         assert gcd(rn, rd) == 1 and gcd(jn, jd) == 1
 

@@ -16,7 +16,7 @@ from math import lcm
 from typing import Sequence
 
 from . import _kernel as K
-from .errors import ArityError, Immutable
+from .errors import ArityError, Immutable, InputError
 from .poly import SparsePoly
 
 _set = object.__setattr__  # fills slots past Immutable.__setattr__
@@ -63,7 +63,10 @@ class HbarSeries(Immutable):
 
     @classmethod
     def _of(cls, packed: SparsePoly, order: int) -> "HbarSeries":
-        """The series of a packed form whose h-degrees are at most order."""
+        """The series of a packed form whose h-degrees are at most order;
+        a negative order, which would hold not even h^0, is refused."""
+        if order < 0:
+            raise InputError("order must be nonnegative")
         out = object.__new__(cls)
         _set(out, "arity", packed.arity - 1)
         _set(out, "order", order)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from starkit.atlas import ChartMap
 from starkit.corpus import random_poly
-from starkit.errors import ArityError
+from starkit.errors import ArityError, InputError
 from starkit.moyal import StarProduct
 from starkit.parsing import parse_series
 from starkit.poly import SparsePoly
@@ -58,6 +58,19 @@ def test_mixed_orders_truncate_to_the_shorter():
     G = make_series(2, 2, seed=2)
     assert (F + G).order == 2
     assert (F * G).order == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HbarSeries.zero(2, -1),
+    lambda: HbarSeries.from_poly(SparsePoly.variable(2, 1), -1),
+    lambda: make_series(2, 2, seed=3).truncate(-1),
+    lambda: parse_series("z1 + h", 2, -1),
+], ids=["zero", "from_poly", "truncate", "parse_series"])
+def test_negative_order_is_refused(make):
+    # an order -1 series would hold no coefficient at all, which
+    # HbarSeries(coeffs) itself refuses
+    with pytest.raises(InputError, match="order must be nonnegative"):
+        make()
 
 
 def test_arity_mismatch_raises():

@@ -246,14 +246,15 @@ class StarProduct(Immutable):
         # (depth, the parent's useful entries, the index there of the last
         #  entry picked, its multiplicity, weight numerator, multinomial
         #  count, the two derivatives, their largest h-degrees, the left
-        #  one's with the depth); the root picks from every entry
+        #  one's counting the depth); the root picks from every entry
         stack = ([(0, self._entries(width), 0, 0, 1, 0, 1, lf, lg,
                    fmax, gmax)] if top else [])
         while stack:
             (depth, cands, start, mult, wr, wi, cnt, da, db,
              ha, hb) = stack.pop()
             if hcaps:
-                # the h-degrees that still fit at the children's depth
+                # the h-degrees that still fit at the children's depth,
+                # which the left derivative's keys already count
                 cap = order - 1 - gmin
                 if ha > cap:
                     da = {key: c for key, c in da.items()

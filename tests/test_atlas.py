@@ -539,3 +539,13 @@ def test_ingest_json_entry_point():
     with open(fixture_path("square.json"), "r", encoding="utf-8") as fh:
         s = atlas.ingest_json(json.load(fh))
     assert s.genus == 1
+
+
+@pytest.mark.parametrize("src, dst", [("base", "base"),
+                                      ("edge0:2", "base")])
+def test_find_overlap_refuses_charts_that_do_not_overlap(square_surface, src,
+                                                         dst):
+    with pytest.raises(InputError) as info:
+        square_surface.find_overlap((src, dst))
+    assert str(info.value) == (f"charts {src!r} and {dst!r} are not "
+                               f"overlapping")

@@ -254,6 +254,12 @@ def nested(levels: int) -> str:
       " + p1*q2^2*p3^3*q4^4*p5^5*q6^6*p7^7*q8^8*p9^9"],
      f"symmetrize would write {2 * math.factorial(9)} orbit images, over "
      f"the limit of {math.factorial(cli.MAX_SYMMETRIZE_COPIES)}"),
+    # product-star needs its copy count from --n or from both of --rank
+    # and --genus
+    (["product-star", "--rank", "2", "--order", "2", "q1", "p1"],
+     "--rank and --genus must be given together"),
+    (["product-star", "--order", "2", "q1", "p1"],
+     "need --n or --rank/--genus"),
 ])
 def test_oversized_request_is_exit_2(capsys, argv, message):
     # refused before any series, product space or permutation is built

@@ -44,6 +44,16 @@ def test_permutation_validation_and_group_ops():
         multi.Permutation.transposition(4, 2, 4)
 
 
+def test_permutation_calls_compares_hashes_and_prints_by_its_images():
+    sigma = multi.Permutation([2, 0, 1])
+    assert [sigma(i) for i in range(3)] == [2, 0, 1]
+    same = multi.Permutation((2, 0, 1))
+    assert sigma == same and hash(sigma) == hash(same)
+    assert sigma != multi.Permutation((0, 1, 2))
+    assert sigma != (2, 0, 1)
+    assert repr(sigma) == "Permutation([2, 0, 1])"
+
+
 def test_permute_poly_relabels_whole_copies():
     ps = multi.ProductSpace(2)
     swap = multi.Permutation((1, 0))

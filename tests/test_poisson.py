@@ -6,6 +6,8 @@ brackets, chart brackets) inherits signs from here, so these oracles are
 pinned as literal values.
 """
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 
 from starkit.corpus import random_poly
 from starkit.errors import InputError
+from starkit.moyal import StarProduct
+from starkit.parsing import parse_scalar
 from starkit.poisson import (PoissonBivector, SymplecticForm,
                              antisymmetry_residual, bilinearity_residual,
                              bivector_from_form, form_from_bivector,
@@ -23,6 +27,7 @@ from starkit.poisson import (PoissonBivector, SymplecticForm,
 from starkit.poly import SparsePoly
 from starkit.scalars import ExactComplex
 
+from conftest import fixture_path
 from oracles import bivector_to_sympy, poly_to_sympy, ref_bracket, symbols_for
 
 seeds = st.integers(0, 10_000)
@@ -160,3 +165,79 @@ def test_block_structure_makes_distant_pairs_commute():
     z1 = SparsePoly.variable(4, 1)
     z4 = SparsePoly.variable(4, 4)
     assert biv.bracket(z1, z4).is_zero()
+
+
+# -- pinned values of the standard and Gaussian structures --------------------
+
+def gauss4_form():
+    rows = json.loads(pathlib.Path(fixture_path("form_gauss4.json"))
+                      .read_text(encoding="utf-8"))
+    return SymplecticForm([[parse_scalar(x) for x in row] for row in rows])
+
+
+STANDARD_2 = ("[['0', '-1', '0', '0'], ['1', '0', '0', '0'], "
+              "['0', '0', '0', '-1'], ['0', '0', '1', '0']]")
+PINNED_STRUCTURES = {
+    "form-standard-2": (lambda: SymplecticForm.standard(2),
+                        f"SymplecticForm({STANDARD_2})"),
+    "bivector-standard-2": (lambda: standard_bivector(2),
+                            f"PoissonBivector({STANDARD_2})"),
+    "form-gauss4": (gauss4_form, (
+        "SymplecticForm([['0', '2/3', '1/2+i', '-1/5*i'], "
+        "['-2/3', '0', '3/4', '1-2/7*i'], "
+        "['-1/2-i', '-3/4', '0', '-5/2'], "
+        "['1/5*i', '-1+2/7*i', '5/2', '0']])")),
+    "bivector-gauss4": (lambda: bivector_from_form(gauss4_form()), (
+        "PoissonBivector([['0', '1081500/1239829-444150/1239829*i', "
+        "'381840/1239829-301260/1239829*i', "
+        "'-324450/1239829+133245/1239829*i'], "
+        "['-1081500/1239829+444150/1239829*i', '0', "
+        "'35532/1239829+86520/1239829*i', "
+        "'393960/1239829+343770/1239829*i'], "
+        "['-381840/1239829+301260/1239829*i', "
+        "'-35532/1239829-86520/1239829*i', '0', "
+        "'-288400/1239829+118440/1239829*i'], "
+        "['324450/1239829-133245/1239829*i', "
+        "'-393960/1239829-343770/1239829*i', "
+        "'288400/1239829-118440/1239829*i', '0']])")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STRUCTURES))
+def test_structures_print_compare_and_hash_by_their_matrix(name):
+    build, text = PINNED_STRUCTURES[name]
+    value = build()
+    assert repr(value) == text
+    again = type(value)(value.matrix)
+    assert value == again and hash(value) == hash(again)
+    assert hash(value) == hash(value.matrix)
+    # a form and a bivector are never equal, even on the same matrix
+    other = (PoissonBivector if isinstance(value, SymplecticForm)
+             else SymplecticForm)(value.matrix)
+    assert value != other and other != value
+    assert value != value.matrix
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SymplecticForm([[0, 1], [1, 0]]),
+     "a symplectic form must be antisymmetric"),
+    (lambda: PoissonBivector([[0, 1], [1, 0]]),
+     "a bivector must be antisymmetric"),
+    (lambda: SymplecticForm([[1, 0], [0, 0]]),
+     "a symplectic form must be antisymmetric"),
+    (lambda: PoissonBivector([[0, 0], [0, 1]]),
+     "a bivector must be antisymmetric"),
+    (lambda: SymplecticForm.standard(0), "need at least one coordinate pair"),
+    (lambda: standard_bivector(0), "need at least one coordinate pair"),
+], ids=["form-symmetric", "bivector-symmetric", "form-diagonal",
+        "bivector-diagonal", "form-no-pairs", "bivector-no-pairs"])
+def test_structure_refusals_are_pinned(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3, 10])
+def test_standard_star_steps_match_the_standard_forms(pairs):
+    want = StarProduct.from_form(SymplecticForm.standard(pairs))
+    assert StarProduct.standard(pairs)._pairs == want._pairs

@@ -317,3 +317,11 @@ def test_constants_hash_like_the_scalars_they_equal():
     z = ExactComplex(Fraction(1, 2), 3)
     assert SparsePoly.const(2, z) == z
     assert hash(SparsePoly.const(2, z)) == hash(z)
+
+
+def test_coefficient_reads_a_present_and_an_absent_monomial():
+    f = SparsePoly(2, {(1, 2): ExactComplex(Fraction(1, 2), -3), (0, 0): 4})
+    assert f.coefficient((1, 2)) == ExactComplex(Fraction(1, 2), -3)
+    assert f.coefficient([0, 0]) == 4
+    absent = f.coefficient((2, 1))
+    assert isinstance(absent, ExactComplex) and absent.is_zero()

@@ -117,3 +117,13 @@ def test_too_long_to_print_is_an_input_error():
         str(ExactComplex(Fraction(1, 3), huge))
     with pytest.raises(InputError, match="too many to print"):
         format_ratio(1, huge)
+
+
+def test_negative_power_is_the_inverse_of_the_positive_one():
+    z = ExactComplex(1, 1)
+    assert z ** -1 == ExactComplex(Fraction(1, 2), Fraction(-1, 2))
+    # (1 + i)^2 = 2i, and 1 / (2i) = -i/2
+    assert z ** -2 == ExactComplex(0, Fraction(-1, 2))
+    assert ExactComplex(Fraction(2, 3)) ** -3 == ExactComplex(Fraction(27, 8))
+    with pytest.raises(ZeroDivisionError):
+        ExactComplex(0) ** -1

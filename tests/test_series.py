@@ -179,6 +179,24 @@ def test_series_arithmetic_matches_the_coefficient_oracle(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
+def test_series_with_a_polynomial_or_scalar_operand_matches_the_oracle(data):
+    # the other operand is the series of order F.order with it at h^0
+    fs = data.draw(coefficient_lists(), label="fs")
+    arity, order = fs[0].arity, len(fs) - 1
+    p = data.draw(coefficient(arity, data.draw(st.booleans(), label="wide")),
+                  label="p")
+    F = HbarSeries(fs)
+    zeros = [SparsePoly.zero(arity)] * order
+    one = [SparsePoly.const(arity, 1)] + zeros
+    assert_series(F + 1, arity, ref_add(fs, one))
+    assert_series(1 - F, arity, ref_add(one, fs, -1))
+    assert_series(2 * F, arity, ref_scale(fs, 2))
+    assert_series(-F, arity, ref_scale(fs, -1))
+    assert_series(F + p, arity, ref_add(fs, [p] + zeros))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
 def test_series_equality_and_hash_match_the_coefficient_oracle(data):
     fs = data.draw(coefficient_lists(), label="fs")
     gs = data.draw(coefficient_lists(fs[0].arity, len(fs) - 1), label="gs")

@@ -161,10 +161,7 @@ def lower(p, den, arity, width):
     out = {}
     for e, (a, b) in zip(exponents(p, arity, width), p.values()):
         if a or b:
-            # gcd(0, den) = den, so a zero part comes out as 0/1
-            ga = gcd(a, den)
-            gb = gcd(b, den)
-            out[e] = (a // ga, den // ga, b // gb, den // gb)
+            out[e] = (*qnorm(a, den), *qnorm(b, den))
     return out
 
 

@@ -523,7 +523,7 @@ def ingest_json(data) -> TranslationSurface:
 # -- chart-local quantization ------------------------------------------------
 
 _CHART_FORM = SymplecticForm.standard(1)
-_CHART_STAR = StarProduct.from_form(_CHART_FORM)
+_CHART_STAR = StarProduct.standard(1)
 
 
 def chart_form() -> SymplecticForm:

@@ -77,7 +77,8 @@ from operator import or_
 from . import _kernel as K
 from . import linalg
 from .errors import ArityError, Immutable, InputError
-from .poisson import PoissonBivector, SymplecticForm, bivector_from_form
+from .poisson import (PoissonBivector, SymplecticForm, bivector_from_form,
+                      standard_bivector)
 from .poly import SparsePoly
 from .reports import Report
 from .scalars import ExactComplex
@@ -172,7 +173,7 @@ class StarProduct(Immutable):
 
     @classmethod
     def standard(cls, pairs: int, order: int = 8) -> "StarProduct":
-        return cls.from_form(SymplecticForm.standard(pairs), order)
+        return cls(standard_bivector(pairs), order)
 
     def _check_arity(self, *polys) -> None:
         for p in polys:

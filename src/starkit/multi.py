@@ -19,7 +19,6 @@ from operator import lshift
 from . import _kernel as K
 from .errors import ArityError, Immutable, InputError
 from .moyal import StarProduct
-from .poisson import SymplecticForm
 from .poly import SparsePoly
 from .reports import Report
 from .scalars import ExactComplex
@@ -29,16 +28,14 @@ from .series import HbarSeries
 class ProductSpace(Immutable):
     """n interleaved (zeta, lambda) pairs with the block-diagonal form."""
 
-    __slots__ = ("copies", "dim", "form", "star")
+    __slots__ = ("copies", "dim", "star")
 
     def __init__(self, copies: int, order: int = 8):
         if copies < 1:
             raise InputError("need at least one copy")
         object.__setattr__(self, "copies", copies)
         object.__setattr__(self, "dim", 2 * copies)
-        form = SymplecticForm.standard(copies)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "star", StarProduct.from_form(form, order))
+        object.__setattr__(self, "star", StarProduct.standard(copies, order))
 
     def zeta(self, i: int) -> SparsePoly:
         """Base coordinate of copy i (1-based)."""
@@ -277,28 +274,14 @@ def hitchin_commutation_check(ps: ProductSpace, j: int, k: int,
     return rep
 
 
-class Configuration(Immutable):
-    """n labelled points of the (zeta, lambda) plane with exact entries."""
+def configuration_check(points) -> Report:
+    """Pairwise distinctness of labelled points (zeta, lambda) of the
+    plane, with exact entries, flagging any violating pair.
 
-    __slots__ = ("points",)
-
-    def __init__(self, points):
-        pts = tuple((ExactComplex.coerce(z), ExactComplex.coerce(l))
-                    for z, l in points)
-        if not pts:
-            raise InputError("configuration needs at least one point")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self):
-        return len(self.points)
-
-
-def configuration_check(config: Configuration) -> Report:
-    """Pairwise distinctness of the points, flagging any violating pair.
-
-    A single point is refused: it has no pair to check.
+    Fewer than two points are refused: they have no pair to check.
     """
-    pts = config.points
+    pts = [(ExactComplex.coerce(z), ExactComplex.coerce(l))
+           for z, l in points]
     if len(pts) < 2:
         raise InputError("distinctness checks need at least two points")
     rep = Report("configuration distinctness")

@@ -16,7 +16,9 @@ v_a . (T v_b) = v_a . e_b = (T^-1)_ba.  The bracket is then
 
     {f, g} = sum over a, b of pi_ab (df/dz_a) (dg/dz_b)
 
-and {z1, z2} = -1 on the standard pair.  For constant pi the bracket is
+and {z1, z2} = -1 on the standard pair.  Each standard block squares to
+-1, so T^-1 = -T and transpose(T^-1) = T: the standard form's bivector is
+its own matrix, built as such.  For constant pi the bracket is
 bilinear, antisymmetric, a derivation in each slot, and satisfies Jacobi;
 the residual helpers below return the exact polynomial that must vanish.
 """
@@ -34,73 +36,71 @@ from .poly import SparsePoly
 from .scalars import ExactComplex
 
 
-def _check_antisymmetric(mat, what: str) -> None:
-    n = len(mat)
-    for a in range(n):
-        for b in range(n):
-            if mat[a][b] != -mat[b][a]:
-                raise InputError(f"{what} must be antisymmetric")
+class _Constant(Immutable):
+    """Base of the constant structures: an antisymmetric square matrix of
+    ExactComplex, by which they compare, hash and print."""
 
-
-class SymplecticForm(Immutable):
-    """Constant-coefficient symplectic form on dimension dim."""
-
-    __slots__ = ("dim", "matrix", "inverse")
+    __slots__ = ("dim", "matrix")
 
     def __init__(self, matrix):
         mat = linalg.as_matrix(matrix)
-        _check_antisymmetric(mat, "a symplectic form")
-        if len(mat) % 2 != 0:
-            raise InputError("a symplectic form needs even dimension")
-        self._fill(mat, linalg.mat_inv(mat))  # rejects degenerate forms
-
-    def _fill(self, mat, inverse) -> None:
+        if any(mat[a][b] != -mat[b][a]
+               for a in range(len(mat)) for b in range(a, len(mat))):
+            raise InputError(f"{self._what} must be antisymmetric")
         object.__setattr__(self, "dim", len(mat))
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "inverse", inverse)
-
-    @classmethod
-    def standard(cls, pairs: int) -> "SymplecticForm":
-        """Block sum of dz_{2k} ^ dz_{2k-1} over k = 1..pairs."""
-        if pairs < 1:
-            raise InputError("need at least one coordinate pair")
-        n = 2 * pairs
-        rows = [[0] * n for _ in range(n)]
-        for k in range(pairs):
-            a = 2 * k
-            rows[a][a + 1] = -1
-            rows[a + 1][a] = 1
-        # antisymmetric and invertible by construction: each block squares
-        # to -1, so the inverse is -T, with no elimination
-        mat = linalg.as_matrix(rows)
-        form = object.__new__(cls)
-        form._fill(mat, linalg.mat_neg(mat))
-        return form
 
     def __eq__(self, other):
-        return (isinstance(other, SymplecticForm)
-                and self.matrix == other.matrix)
+        return type(other) is type(self) and self.matrix == other.matrix
 
     def __hash__(self):
         return hash(self.matrix)
 
     def __repr__(self):
-        return f"SymplecticForm({[[str(x) for x in row] for row in self.matrix]})"
+        rows = [[str(x) for x in row] for row in self.matrix]
+        return f"{type(self).__name__}({rows})"
 
 
-class PoissonBivector(Immutable):
-    """Constant antisymmetric bivector; evaluates the bracket."""
+def _standard_rows(pairs: int) -> list:
+    """The block sum of [[0, -1], [1, 0]] over pairs blocks."""
+    if pairs < 1:
+        raise InputError("need at least one coordinate pair")
+    rows = [[0] * (2 * pairs) for _ in range(2 * pairs)]
+    for a in range(0, 2 * pairs, 2):
+        rows[a][a + 1], rows[a + 1][a] = -1, 1
+    return rows
 
-    __slots__ = ("dim", "matrix", "_pairs", "_den", "_rows", "_cols")
+
+class SymplecticForm(_Constant):
+    """Constant-coefficient symplectic form on dimension dim."""
+
+    __slots__ = ("inverse",)
+    _what = "a symplectic form"
 
     def __init__(self, matrix):
-        mat = linalg.as_matrix(matrix)
-        _check_antisymmetric(mat, "a bivector")
-        object.__setattr__(self, "dim", len(mat))
-        object.__setattr__(self, "matrix", mat)
+        super().__init__(matrix)
+        if self.dim % 2 != 0:
+            raise InputError("a symplectic form needs even dimension")
+        # rejects degenerate forms
+        object.__setattr__(self, "inverse", linalg.mat_inv(self.matrix))
+
+    @classmethod
+    def standard(cls, pairs: int) -> "SymplecticForm":
+        """Block sum of dz_{2k} ^ dz_{2k-1} over k = 1..pairs."""
+        return cls(_standard_rows(pairs))
+
+
+class PoissonBivector(_Constant):
+    """Constant antisymmetric bivector; evaluates the bracket."""
+
+    __slots__ = ("_pairs", "_den", "_rows", "_cols")
+    _what = "a bivector"
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
         # each nonzero entry as (a, b, numerator) over one denominator
         entries = [(a, b, entry.to_kernel())
-                   for a, row in enumerate(mat)
+                   for a, row in enumerate(self.matrix)
                    for b, entry in enumerate(row)
                    if not entry.is_zero()]
         den = lcm(*{d for _, _, c in entries for d in (c[1], c[3])})
@@ -138,16 +138,6 @@ class PoissonBivector(Immutable):
         return SparsePoly._make(self.dim, width, f._form[1] * g._form[1]
                                 * self._den, acc)
 
-    def __eq__(self, other):
-        return (isinstance(other, PoissonBivector)
-                and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"PoissonBivector({[[str(x) for x in row] for row in self.matrix]})"
-
 
 def bivector_from_form(form: SymplecticForm) -> PoissonBivector:
     """pi = transpose(T^-1) for the form's matrix T."""
@@ -160,7 +150,8 @@ def form_from_bivector(biv: PoissonBivector) -> SymplecticForm:
 
 
 def standard_bivector(pairs: int) -> PoissonBivector:
-    return bivector_from_form(SymplecticForm.standard(pairs))
+    """The standard form's bivector: transpose(T^-1) = T for each block."""
+    return PoissonBivector(_standard_rows(pairs))
 
 
 # -- axiom residuals (exact polynomials that must vanish) --------------------

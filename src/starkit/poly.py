@@ -350,8 +350,6 @@ class SparsePoly(Immutable):
             raise ArityError(f"affine shift must have length {m}")
         out = self if shift is None else self.translate(shift)
         rows = [[ExactComplex.coerce(x) for x in row] for row in matrix]
-        if all(rows[j][k] == int(j == k) for j in range(m) for k in range(m)):
-            return out
         units = [tuple(int(t == k) for t in range(m)) for k in range(m)]
         return out.subst([SparsePoly(m, dict(zip(units, row)))
                           for row in rows])

@@ -209,6 +209,11 @@ def pullback_bracket(m: SymplectoMap, bivector: PoissonBivector,
     return bivector.bracket(f.subst(inv), g.subst(inv)).subst(fwd)
 
 
+def _rejected(name: str, detail: str) -> InputError:
+    """The refusal of a map whose check name failed with detail."""
+    return InputError(f"map rejected: {name} failed ({detail})")
+
+
 def transported_star(m: SymplectoMap, sp: StarProduct, f: SparsePoly,
                      g: SparsePoly, order: int | None = None,
                      verify: bool = True) -> HbarSeries:
@@ -217,8 +222,7 @@ def transported_star(m: SymplectoMap, sp: StarProduct, f: SparsePoly,
         gate = check_symplecto(m, form_from_bivector(sp.bivector))
         if not gate.passed:
             first = gate.failures()[0]
-            raise InputError(
-                f"map rejected: {first.name} failed ({first.detail})")
+            raise _rejected(first.name, first.detail)
     if order is None:
         order = sp.order
     F = HbarSeries.from_poly(f, order)
@@ -236,7 +240,7 @@ def verify_transported_dq(m: SymplectoMap, sp: StarProduct, triples,
         order = sp.order
     for name, ok, detail in m.round_trips():
         if not ok:
-            raise InputError(f"map rejected: {name} failed ({detail})")
+            raise _rejected(name, detail)
     inv = list(m.inverse)
     images = []
     carried = {}

@@ -20,7 +20,6 @@ VALUES = {
     "StarProduct": lambda: StarProduct.standard(1),
     "ProductSpace": lambda: multi.ProductSpace(2),
     "Permutation": lambda: multi.Permutation([1, 0]),
-    "Configuration": lambda: multi.Configuration([(1, 2)]),
     "PolygonGluing": lambda: atlas.PolygonGluing.from_file(
         fixture_path("square.json")),
     "ChartMap": lambda: atlas.ChartMap.translation(1),

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from oracles import assert_canonical
 
-from starkit import multi
+from starkit import linalg, multi
 from starkit.corpus import random_permutations, random_poly, random_poly_pairs
 from starkit.errors import ArityError, InputError
+from starkit.poisson import SymplecticForm
 from starkit.poly import SparsePoly
 from starkit.scalars import ExactComplex
 
@@ -29,6 +30,27 @@ def test_conjugate_pairs_within_one_copy():
     # coordinates of distinct copies commute exactly
     assert ps.star.commutator(ps.zeta(1), ps.lam(2), 3).is_zero()
     assert ps.star.commutator(ps.lam(1), ps.lam(2), 3).is_zero()
+
+
+def test_product_space_builds_no_form_and_no_dense_inverse(monkeypatch):
+    # the standard bivector is its own block rows: no form is made, and
+    # nothing is inverted, negated or transposed
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(SymplecticForm, "__init__")
+    for name in ("mat_inv", "mat_neg", "transpose"):
+        count(linalg, name)
+    ps = multi.ProductSpace(64)
+    assert calls == []
+    assert ps.star.bivector.dim == 128
 
 
 def test_permutation_validation_and_group_ops():
@@ -263,19 +285,16 @@ def test_power_sums_commute_under_star():
 def test_configuration_check_flags_collisions():
     a = (ExactComplex(0), ExactComplex(1))
     b = (ExactComplex(2), ExactComplex(3))
-    good = multi.Configuration((a, b))
-    assert multi.configuration_check(good).passed
-    bad = multi.Configuration((a, b, a))
-    rep = multi.configuration_check(bad)
+    assert multi.configuration_check((a, b)).passed
+    rep = multi.configuration_check((a, b, a))
     assert not rep.passed
     assert [e.name for e in rep.failures()] == ["points 0 and 2 distinct"]
 
 
 def test_configuration_check_needs_two_points():
     # one point has no pair: a report of zero checks is not a pass
-    one = multi.Configuration([(1, 2)])
     with pytest.raises(InputError, match="at least two points"):
-        multi.configuration_check(one)
+        multi.configuration_check([(1, 2)])
 
 
 def test_moduli_copy_counts():

@@ -93,11 +93,12 @@ def test_nonstandard_form_round_trip():
 
 @pytest.mark.parametrize("pairs", [1, 2, 3, 4, 5, 6, 19])
 def test_standard_form_inverse_is_closed_form(pairs):
-    # standard() sets the inverse to -T without an elimination; the
-    # general constructor eliminates, and both must agree
+    # standard() goes through the general constructor, which eliminates;
+    # each block squares to -1, so the inverse it finds is -T
     from starkit import linalg
     form = SymplecticForm.standard(pairs)
     assert form.inverse == linalg.mat_inv(form.matrix)
+    assert form.inverse == linalg.mat_neg(form.matrix)
     general = SymplecticForm(form.matrix)
     assert general == form and hash(general) == hash(form)
 

@@ -838,6 +838,25 @@ PINNED_RUNS = {
          "z1*z2 + h*z3^2 - 2*h^2", "z3*z4^2 + 1/3*h*z1"), 0,
         "da5bc0885245495b1712b1fce826b7c3c94c9de5ae7ef791d06a1d1637d95118",
         "b3f361c7aeb794f401e5c8e4449ff1a8d5c0bab5f664fc047068a920efa9a507"),
+    # the one entry of the pair picked up to six times in a row
+    "star-entry-picked-six-times": (
+        ("star", "--order", "8", "z1^6*z2^5", "z1^5*z2^6"), 0,
+        "afb75668086895971da847f99db3606a11dfa1c0dc80268fe59306158aca7110",
+        "94bf4c80412a7f906b0df1cfa907c05b5d22794e5ee97d76ea42a4acefa5efb7"),
+    # variables that several entries of a non-block form share, with
+    # h-terms in both factors
+    "star-gauss4-shared-variables": (
+        ("star", "--form", "tests/fixtures/form_gauss4.json", "--order", "5",
+         "z1^3*z3^2+1/2*i*h*z2^2", "z2^2*z4^3+z1*h"), 0,
+        "927a5ee5ba9919ce43ed2d99f2a7a940e901ff55aa6ac3d11a02792e5842582a",
+        "ca62f24c6befd75658e06c6ef7a9b57a3aae58afb879c24edbe3d4a6ff880502"),
+    # a factor in two copies, so the product takes the whole walk on the
+    # block bivector, not the one-body path
+    "product-star-two-copy-factor": (
+        ("product-star", "--n", "3", "--order", "6", "q1^2*p2^2+p1",
+         "p1^3*q2"), 0,
+        "410f2214d5eb2de9d3277729734ed29f402302e95a4021067b0979d17d7ccba7",
+        "e685d2672bef96156ba5f373b05a3c377d9f5af189acdc99078ad928d950c991"),
 }
 
 

@@ -24,8 +24,8 @@ learns which variables a map holds from the OR of its keys.
 ``maddmul`` is the one loop over pairs of terms; ``mmul`` is a product,
 in which a factor of one term only shifts and scales the other; ``madd``
 adds two maps under integer scales; ``mdiff`` multiplies numerators by
-the exponent, keeps den and takes a key step off each key, by default
-one in the variable's field.  The denominators are the caller's to track.
+the exponent, divides them by an exact divisor, keeps den and takes a
+key step off each key, by default one in the variable's field.  The denominators are the caller's to track.
 ``lift`` and ``lower`` convert between the packed form and a map from
 exponent tuples to normalized Gaussian rationals (rn, rd, jn, jd), at
 the edges only, such as the public constructor and ``terms()``.
@@ -230,9 +230,10 @@ def madd(p1, p2, s1=1, s2=1):
     return out
 
 
-def mdiff(p, var, width, step=None):
+def mdiff(p, var, width, step=None, div=1):
     """Packed partial derivative in variable var (0-based), over the same
-    denominator: each key less step, by default one in var's field."""
+    denominator: each key less step, by default one in var's field, each
+    numerator times the exponent and divided by div, which divides it."""
     shift = var * width
     mask = (1 << width) - 1
     step = 1 << shift if step is None else step
@@ -240,7 +241,7 @@ def mdiff(p, var, width, step=None):
     for key, (a, b) in p.items():
         k = key >> shift & mask
         if k:
-            out[key - step] = (a * k, b * k)
+            out[key - step] = (a * k // div, b * k // div)
     return out
 
 

@@ -37,21 +37,22 @@ sum_k h^k g_k: each factor is its series' packed form (``starkit.series``),
 where h is the last variable, so a product adds h-degrees as it adds
 exponents.  Both are read in fields that hold the largest exponent of f
 plus that of g, over their denominators Df and Dg.  The steps share one
-denominator Ds, twice the bivector's own.  A branch carries the product
-of its steps' numerators and the multinomial count k! / prod(m_p!),
-which picking entry p for the m-th time at depth k turns into
-count * (k + 1) // m, an exact division.  So a term at depth k sits
-over Df Dg Ds^k k!; its weight is scaled by Ds^(t-k) t! / k!, t the
-deepest depth, and every term is written over the one denominator
-Df Dg Ds^t t! into one map.  A left derivative takes one h as it takes
-its variable (``K.mdiff`` with a key step), so a term of h-degree j at
-depth k lands on h^(j+k) as it is written.  Each branch drops the
-derivative terms whose h-degree can no longer fit below the order, so a
-deep branch does not carry them.  The plain product, depth 0 and the
-largest scale, goes in last, so that the gcd scan of ``K.normal``, which
-stops once it reaches 1, meets the smaller scales first.  Products of
-two h-terms may still pass the order; they are dropped once, and the map
-is normalized once.
+denominator Ds, twice the bivector's own.  A branch starts with the
+weight Ds^t, t the deepest depth, and each pick multiplies it by the
+step's numerator and divides it by Ds, exactly, since a weight at depth
+k < t still holds Ds^(t-k).  Picking entry p for the m-th time in a row
+divides the left derivative by m (``K.mdiff``'s divisor), also exactly:
+after m picks a term c x^e has become C(e, m) c x^(e-m).  So every term,
+the plain product at weight Ds^t too, is written over the one
+denominator Df Dg Ds^t into one map.  A left derivative takes one h
+as it takes its variable (``K.mdiff`` with a key step), so a term of
+h-degree j at depth k lands on h^(j+k) as it is written.  Each branch
+drops the derivative terms whose h-degree can no longer fit below the
+order, so a deep branch does not carry them.  The plain product, at the
+largest power of Ds, goes in last, so that the gcd scan of ``K.normal``,
+which stops once it reaches 1, meets the smaller weights first.
+Products of two h-terms may still pass the order; they are dropped once,
+and the map is normalized once.
 
 On two or more copies of one 2 x 2 block on the pairs (z_2i-1, z_2i),
 as on a product space, distinct copies star-commute: for one-body
@@ -240,19 +241,16 @@ class StarProduct(Immutable):
             min(order, fmax + gmax + top).bit_length()))
         hshift = dim * width
         lf, lg = F._at(width), G._at(width)
-        # depth k's weights, over Ds^k k!, scaled to Ds^top top!
-        scales = [ds ** (top - k) * factorial(top) // factorial(k)
-                  for k in range(top + 1)]
+        scale = ds ** top  # every weight's denominator
         out = {}
         # (depth, the parent's useful entries, the index there of the last
-        #  entry picked, its multiplicity, weight numerator, multinomial
-        #  count, the two derivatives, their largest h-degrees, the left
-        #  one's counting the depth); the root picks from every entry
-        stack = ([(0, self._entries(width), 0, 0, 1, 0, 1, lf, lg,
+        #  entry picked, its multiplicity, weight numerator, the two
+        #  derivatives, their largest h-degrees, the left one's counting
+        #  the depth); the root picks from every entry
+        stack = ([(0, self._entries(width), 0, 0, scale, 0, lf, lg,
                    fmax, gmax)] if top else [])
         while stack:
-            (depth, cands, start, mult, wr, wi, cnt, da, db,
-             ha, hb) = stack.pop()
+            depth, cands, start, mult, wr, wi, da, db, ha, hb = stack.pop()
             if hcaps:
                 # the h-degrees that still fit at the children's depth,
                 # which the left derivative's keys already count
@@ -281,22 +279,21 @@ class StarProduct(Immutable):
                 if not (ora & ma and orb & mb):
                     continue
                 useful.append(entry)
-                da2 = K.mdiff(da, a, width, step)
-                db2 = K.mdiff(db, b, width)
                 m = mult + 1 if entry is last else 1
-                nr, ni = wr * sr - wi * si, wr * si + wi * sr
-                c = cnt * (depth + 1) // m
-                s = c * scales[depth + 1]
-                K.maddmul(out, da2, db2, nr * s, ni * s)
+                da2 = K.mdiff(da, a, width, step, m)
+                db2 = K.mdiff(db, b, width)
+                nr = (wr * sr - wi * si) // ds
+                ni = (wr * si + wi * sr) // ds
+                K.maddmul(out, da2, db2, nr, ni)
                 if depth + 1 < top:
                     children.append((depth + 1, useful, len(useful) - 1, m,
-                                     nr, ni, c, da2, db2, ha + 1, hb))
+                                     nr, ni, da2, db2, ha + 1, hb))
             stack.extend(reversed(children))
-        K.maddmul(out, lf, lg, scales[0], 0)
+        K.maddmul(out, lf, lg, scale, 0)
         if hcaps:  # a product of two h-terms may pass the order
             end = order + 1 << hshift
             out = {key: c for key, c in out.items() if key < end}
-        return SparsePoly._make(dim + 1, width, df * dg * scales[0], out)
+        return SparsePoly._make(dim + 1, width, df * dg * scale, out)
 
     def _entries(self, width: int) -> tuple:
         """Each entry (a, b, step re, step im) with the masks of its two

@@ -204,6 +204,35 @@ def test_mdiff_matches_fraction_loop(t, var):
         for e, (x, y) in ref_diff(t, var).items()}
 
 
+@pytest.mark.parametrize("with_step", [False, True])
+@pytest.mark.parametrize("top, width", [(7, 8), (300, 16)])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_mdiff_divisors_leave_binomial_coefficients(data, top, width,
+                                                    with_step):
+    # k derivatives in turn, the m-th divided by m, as the Moyal walk
+    # takes one entry k times: each term c z^e becomes C(e, k) c z^(e-k),
+    # every division exact
+    exp = st.integers(0, top)
+    t = data.draw(st.dictionaries(st.tuples(exp, exp), nonzero_coeffs,
+                                  max_size=6))
+    t[(top, top)] = norm_coeff((1, 1, 1, 2))  # pins the field width
+    var = data.draw(st.sampled_from([0, 1]))
+    k = data.draw(st.integers(1, 7))
+    w, den, p = K.lift(t)
+    assert w == width
+    step = (1 << var * width) - (1 << 2 * width) if with_step else None
+    for m in range(1, k + 1):
+        p = K.mdiff(p, var, width, step, m)
+    want = {}
+    for e, (x, y) in as_fraction_map(t).items():
+        c = math.comb(e[var], k)
+        if c:
+            e = e[:var] + (e[var] - k,) + e[var + 1:]
+            want[e + (k,) * with_step] = (c * x, c * y)
+    assert unpack(p, den, width, 2 + with_step) == want
+
+
 @settings(max_examples=40)
 @given(term_maps, st.sampled_from([0, 1]))
 def test_mdiff_key_step_moves_each_derivative_key(t, var):

@@ -96,22 +96,22 @@ def _emit(args, lines: list, outputs: dict | None = None,
     """Print the run report, as text or as JSON with --json, and return
     the exit code: 1 when the report failed, else 0.  The module
     docstring says where each field comes from."""
-    payload = {"command": args.command,
-               "inputs": {k: v for k, v in vars(args).items()
-                          if k not in ("command", "func", "json")
-                          and v is not None} | inputs}
-    if outputs is not None:
-        payload["outputs"] = outputs
-    if report is not None:
-        payload["checks"] = report.to_dict()
-        payload["passed"] = report.passed
-        if outputs is None:
-            lines = [*lines, *report.summary_lines(),
-                     "pass" if report.passed else "fail"]
     if args.json:
+        payload = {"command": args.command,
+                   "inputs": {k: v for k, v in vars(args).items()
+                              if k not in ("command", "func", "json")
+                              and v is not None} | inputs}
+        if outputs is not None:
+            payload["outputs"] = outputs
+        if report is not None:
+            payload["checks"] = report.to_dict()
+            payload["passed"] = report.passed
         payload["corpus_version"] = corpus.CORPUS_VERSION
         print(_json(payload))
     else:
+        if report is not None and outputs is None:
+            lines = [*lines, *report.summary_lines(),
+                     "pass" if report.passed else "fail"]
         for line in lines:
             print(line)
     return 0 if report is None or report.passed else 1

@@ -25,7 +25,8 @@ learns which variables a map holds from the OR of its keys.
 in which a factor of one term only shifts and scales the other; ``madd``
 adds two maps under integer scales; ``mdiff`` multiplies numerators by
 the exponent, divides them by an exact divisor, keeps den and takes a
-key step off each key, by default one in the variable's field.  The denominators are the caller's to track.
+key step off each key, by default one in the variable's field.  The
+denominators are the caller's to track.
 ``lift`` and ``lower`` convert between the packed form and a map from
 exponent tuples to normalized Gaussian rationals (rn, rd, jn, jd), at
 the edges only, such as the public constructor and ``terms()``.
